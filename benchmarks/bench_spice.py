@@ -1,21 +1,12 @@
-"""Solver-stack benchmark: every registry backend vs the reference oracle.
+"""Solver-stack benchmark: compiled assembly vs the reference stamp oracle.
 
-Measures, in one process, the headline speedups of the optimised MNA
-backends (DESIGN.md Sections 10 and 17), parameterized over the backend
-registry so a newly registered backend is gated automatically (floors
-live in ``conftest.BACKEND_GATES``):
+Measures, in one process, the two headline speedups of the compiled MNA
+engine (DESIGN.md Section 10), with floors in ``conftest``:
 
-* a cold regulator operating-point solve (each optimised backend against
+* a cold regulator operating-point solve (``backend="compiled"`` against
   ``backend="reference"``);
 * a 64-point cell supply sweep (:func:`repro.spice.solve_dc_batch`
   against the sequential reference-backend :func:`repro.spice.dc_sweep`);
-* the sparse-vs-dense crossover: warm solve times on regulator+macro
-  netlist tiers of increasing size, reporting the unknown count where the
-  forced-CSR sparse path overtakes the dense compiled plan, gated at
-  sparse >= 1.5x dense on the largest tier;
-* the small-netlist latency budget: production ``backend="sparse"``
-  (which delegates to the dense plan below its threshold) must stay
-  within 10% of ``backend="compiled"`` on the bare regulator netlist;
 
 plus the assembly-vs-factorisation wall-time split the solver reports
 through :mod:`repro.obs`.
@@ -39,21 +30,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import OPTIMIZED_BACKENDS, gate_for
+from conftest import REGULATOR_SPEEDUP_FLOOR, SWEEP_SPEEDUP_FLOOR
 from repro import obs
 from repro.cell.design import DEFAULT_CELL
-from repro.devices import MosfetModel, nmos_params
 from repro.devices.pvt import PVT
 from repro.devices.variation import CellVariation
 from repro.regulator.design import VrefSelect
 from repro.regulator.netlist import _initial_guess, build_regulator
-from repro.spice import (
-    dc_sweep,
-    solve_dc,
-    solve_dc_batch,
-    sparse_threshold,
-    using_backend,
-)
+from repro.spice import dc_sweep, solve_dc, solve_dc_batch, using_backend
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 ROUNDS = 2 if SMOKE else 5
@@ -61,17 +45,6 @@ ROUNDS = 2 if SMOKE else 5
 #: min-of-2; they are cheap enough to always take more rounds.
 SMALL_SOLVE_ROUNDS = 9
 SWEEP_POINTS = 64
-
-#: Regulator+macro netlist tiers for the crossover bench: number of array
-#: columns hung off the regulator's cell-supply rail (0 = bare regulator).
-CROSSOVER_TIERS = (0, 32, 96, 256, 384)
-
-#: The sparse backend must beat dense by this factor on the largest tier.
-SPARSE_CROSSOVER_FLOOR = 1.5
-
-#: ...and production sparse (delegated) must cost at most this multiple of
-#: the compiled backend on the bare regulator netlist.
-SMALL_NETLIST_LATENCY_BUDGET = 1.10
 
 RESULTS = {}
 
@@ -137,57 +110,29 @@ def _hold_cell():
     return DEFAULT_CELL.build_hold_circuit(1.1, CellVariation.symmetric())
 
 
-def _regulator_macro_circuit(columns):
-    """The regulator driving an array-style load on its cell-supply rail.
-
-    Each column adds one node: a rail-segment resistance, an off NMOS
-    (leakage load, keeps the EKV evaluation in the loop) and a bitcell
-    decap - the idle-array load shape the DESIGN Section 15 macros put on
-    ``vddcc``, at whatever scale the tier asks for.
-    """
-    pvt = PVT("typical", 1.1, 25.0)
-    circuit, nodes = build_regulator(pvt, VrefSelect.VREF70)
-    prev = nodes["vddcc"]
-    for k in range(columns):
-        node = f"col{k}"
-        circuit.resistor(f"rcol{k}", prev, node, 5.0)
-        circuit.mosfet(
-            f"mcol{k}", node, "0", "0",
-            MosfetModel(nmos_params(f"mcol{k}", 120e-9)),
-        )
-        circuit.capacitor(f"ccol{k}", node, "0", 1e-14)
-        prev = node
-    return circuit
-
-
-@pytest.mark.parametrize("backend", OPTIMIZED_BACKENDS)
-def test_regulator_operating_point_speedup(backend):
-    """Cold regulator solve: each optimised backend vs per-element stamps."""
-    floor = gate_for(backend)["regulator_speedup"]
+def test_regulator_operating_point_speedup():
+    """Cold regulator solve: compiled assembly vs per-element stamps."""
     rounds = _time_rounds(
-        [_regulator_runner("reference"), _regulator_runner(backend)],
+        [_regulator_runner("reference"), _regulator_runner("compiled")],
         rounds=SMALL_SOLVE_ROUNDS, inner=5,
     )
-    reference, optimised = (min(t) for t in rounds)
+    reference, compiled = (min(t) for t in rounds)
     speedup = _robust_speedup(rounds[0], rounds[1])
-    RESULTS[f"regulator_solve[{backend}]"] = {
-        "backend": backend,
+    RESULTS["regulator_solve"] = {
         "reference_s": reference,
-        "backend_s": optimised,
+        "compiled_s": compiled,
         "speedup": speedup,
-        "floor": floor,
+        "floor": REGULATOR_SPEEDUP_FLOOR,
     }
     print(
         f"\nregulator op point: reference {reference * 1e3:.3f}ms, "
-        f"{backend} {optimised * 1e3:.3f}ms, speedup {speedup:.2f}x"
+        f"compiled {compiled * 1e3:.3f}ms, speedup {speedup:.2f}x"
     )
-    assert speedup >= floor
+    assert speedup >= REGULATOR_SPEEDUP_FLOOR
 
 
-@pytest.mark.parametrize("backend", OPTIMIZED_BACKENDS)
-def test_cell_vdd_sweep_speedup(backend):
+def test_cell_vdd_sweep_speedup():
     """64-point supply sweep: lock-step batch vs sequential reference."""
-    floor = gate_for(backend)["sweep_speedup"]
     values = list(np.linspace(1.1, 0.35, SWEEP_POINTS))
     sequential_circuit = _hold_cell()
     batch_circuit = _hold_cell()
@@ -197,109 +142,26 @@ def test_cell_vdd_sweep_speedup(backend):
             dc_sweep(sequential_circuit, "vddc", values)
 
     def batch():
-        solve_dc_batch(batch_circuit, "vddc", values, backend=backend)
+        solve_dc_batch(batch_circuit, "vddc", values, backend="compiled")
 
     sequential()
     batch()  # warm-up both (plan compilation out of the timing)
     rounds = _time_rounds([sequential, batch])
     reference, batched = (min(t) for t in rounds)
     speedup = _robust_speedup(rounds[0], rounds[1])
-    RESULTS[f"cell_vdd_sweep[{backend}]"] = {
-        "backend": backend,
+    RESULTS["cell_vdd_sweep"] = {
         "points": SWEEP_POINTS,
         "reference_s": reference,
-        "backend_s": batched,
+        "compiled_s": batched,
         "speedup": speedup,
-        "floor": floor,
+        "floor": SWEEP_SPEEDUP_FLOOR,
     }
     print(
         f"\ncell VDD sweep ({SWEEP_POINTS} pts): reference "
-        f"{reference * 1e3:.3f}ms, {backend} batch {batched * 1e3:.3f}ms, "
+        f"{reference * 1e3:.3f}ms, compiled batch {batched * 1e3:.3f}ms, "
         f"speedup {speedup:.2f}x"
     )
-    assert speedup >= floor
-
-
-def test_sparse_dense_crossover():
-    """Warm solves on regulator+macro tiers: where does CSR overtake dense?
-
-    The sparse side runs with delegation disabled so the measurement is
-    the true CSR + SuperLU cost at every size; production ``sparse``
-    delegates below its threshold, which the latency-budget test covers.
-    Gates sparse >= SPARSE_CROSSOVER_FLOOR x dense on the largest tier.
-    """
-    tiers = []
-    crossover_unknowns = None
-    for columns in CROSSOVER_TIERS:
-        circuit = _regulator_macro_circuit(columns)
-        n = circuit.unknown_count()
-        warm = solve_dc(circuit, backend="compiled").x
-
-        def dense():
-            solve_dc(circuit, x0=warm.copy(), backend="compiled")
-
-        def sparse():
-            solve_dc(circuit, x0=warm.copy(), backend="sparse")
-
-        dense()
-        with sparse_threshold(0):
-            sparse()  # warm-up builds the CSR pattern outside the timing
-            rounds = _time_rounds(
-                [dense, sparse], rounds=SMALL_SOLVE_ROUNDS, inner=3
-            )
-        dense_s, sparse_s = (min(t) for t in rounds)
-        ratio = _robust_speedup(rounds[0], rounds[1])
-        tiers.append({
-            "columns": columns,
-            "unknowns": n,
-            "dense_s": dense_s,
-            "sparse_s": sparse_s,
-            "sparse_speedup": ratio,
-        })
-        if crossover_unknowns is None and ratio >= 1.0:
-            crossover_unknowns = n
-        print(
-            f"\ncrossover tier {columns:4d} cols ({n:4d} unknowns): "
-            f"dense {dense_s * 1e3:.3f}ms, sparse {sparse_s * 1e3:.3f}ms, "
-            f"sparse speedup {ratio:.2f}x"
-        )
-    RESULTS["sparse_crossover"] = {
-        "tiers": tiers,
-        "crossover_unknowns": crossover_unknowns,
-        "floor": SPARSE_CROSSOVER_FLOOR,
-    }
-    print(f"\nsparse/dense crossover at ~{crossover_unknowns} unknowns")
-    largest = tiers[-1]
-    assert largest["sparse_speedup"] >= SPARSE_CROSSOVER_FLOOR, (
-        f"sparse only {largest['sparse_speedup']:.2f}x dense at "
-        f"{largest['unknowns']} unknowns"
-    )
-
-
-def test_sparse_small_netlist_latency_budget():
-    """Production sparse must not regress small solves beyond the budget.
-
-    ``backend="sparse"`` delegates to the dense compiled plan below its
-    threshold, so the bare regulator netlist should cost the same through
-    either name - this pins the delegation policy with a timing gate.
-    """
-    rounds = _time_rounds(
-        [_regulator_runner("compiled"), _regulator_runner("sparse")],
-        rounds=SMALL_SOLVE_ROUNDS, inner=5,
-    )
-    compiled, sparse = (min(t) for t in rounds)
-    ratio = _robust_speedup(rounds[1], rounds[0])
-    RESULTS["sparse_small_netlist"] = {
-        "compiled_s": compiled,
-        "sparse_s": sparse,
-        "ratio": ratio,
-        "budget": SMALL_NETLIST_LATENCY_BUDGET,
-    }
-    print(
-        f"\nsmall-netlist latency: compiled {compiled * 1e3:.3f}ms, "
-        f"sparse (delegated) {sparse * 1e3:.3f}ms, ratio {ratio:.2f}"
-    )
-    assert ratio <= SMALL_NETLIST_LATENCY_BUDGET
+    assert speedup >= SWEEP_SPEEDUP_FLOOR
 
 
 def test_assembly_factorisation_split():

@@ -16,40 +16,18 @@ import os
 import pytest
 
 from repro.devices.pvt import corner_temp_grid, paper_pvt_grid
-from repro.spice import BACKENDS
 
 
 def full_grid_requested() -> bool:
     return os.environ.get("REPRO_FULL_GRID", "0") == "1"
 
 
-#: Solver backends the speedup benchmarks gate, drawn from the registry so
-#: a newly registered backend is benchmarked (and gated) automatically
-#: instead of silently skipped - the reference oracle is the baseline the
-#: others are measured against, so it is the one name excluded.
-OPTIMIZED_BACKENDS = tuple(b for b in BACKENDS if b != "reference")
-
-#: Speedup floors versus the reference oracle, keyed by backend.  The
-#: regulator floor is set ~10% under the worst ratio observed across CI
-#: hosts (the compiled path measures 1.9-2.5x depending on host) so the
-#: gate catches real regressions, not scheduler noise on a sub-ms solve.
-#: The sparse backend delegates to the dense plan below its crossover
-#: threshold, so on the small-circuit benches it is compiled-plus-epsilon
-#: and owes the same floors; its large-netlist obligations live in the
-#: crossover bench.
-BACKEND_GATES = {
-    "compiled": {"regulator_speedup": 1.8, "sweep_speedup": 4.0},
-    "sparse": {"regulator_speedup": 1.8, "sweep_speedup": 4.0},
-}
-
-#: A backend in the registry without an explicit entry must at least not
-#: be slower than the reference oracle.
-DEFAULT_BACKEND_GATE = {"regulator_speedup": 1.0, "sweep_speedup": 1.0}
-
-
-def gate_for(backend: str) -> dict:
-    """The speedup floors for ``backend`` (default for unlisted ones)."""
-    return BACKEND_GATES.get(backend, DEFAULT_BACKEND_GATE)
+#: Speedup floors of the compiled backend versus the reference oracle
+#: (``bench_spice.py``).  The regulator floor sits ~10% under the worst
+#: ratio observed across CI hosts (1.9-2.5x depending on host) so the gate
+#: catches real regressions, not scheduler noise on a sub-ms solve.
+REGULATOR_SPEEDUP_FLOOR = 1.8
+SWEEP_SPEEDUP_FLOOR = 4.0
 
 
 @pytest.fixture(scope="session")

@@ -137,26 +137,21 @@ class SweepSpec:
     def fingerprint(self) -> str:
         """Code + config digest guarding cached results.
 
-        Combines the package version, the active solver backend and its
-        device-evaluation kernel, the source of every task implementation
-        the spec uses, the shared context and the seed; any change to one
-        of them retires previously cached values.  Naming the backend
-        matters because the compiled and reference assembly paths can
-        differ at the ulp level, which a bisection can amplify to an
-        observable (if tiny) result change; the JIT kernel is named for
-        the same reason (the numba softplus is not bit-identical to
-        numpy's logaddexp).
+        Combines the package version, the active solver backend, the source
+        of every task implementation the spec uses, the shared context and
+        the seed; any change to one of them retires previously cached
+        values.  Naming the backend matters because the compiled and
+        reference assembly paths can differ at the ulp level, which a
+        bisection can amplify to an observable (if tiny) result change.
         """
         from .. import __version__
         from ..spice import default_backend
-        from ..spice.jit import kernel_name
         from .tasks import code_digest
 
         return digest([
             "repro-campaign-v1",
             __version__,
             ["solver-backend", default_backend()],
-            ["solver-jit", kernel_name()],
             [[kind, code_digest(kind)] for kind in self.kinds],
             [[k, canonical(v)] for k, v in self.context],
             self.seed,

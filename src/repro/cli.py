@@ -58,9 +58,9 @@ in-flight work, checkpoints it and exits with code 130; rerunning with
 ``verify`` (:mod:`repro.verify`) is the paper-fidelity gate: it recomputes
 every golden-pinned artifact (Tables I-III, Fig. 4, March coverage) at the
 chosen tier, diffs them against ``goldens/`` through per-metric tolerance
-policies, optionally differential-fuzzes every solver backend pair in the
-registry (``--fuzz N``), and exits 1 with the offending table cell named
-on any drift.
+policies, optionally differential-fuzzes the compiled backend against the
+reference oracle (``--fuzz N``), and exits 1 with the offending table cell
+named on any drift.
 """
 
 from __future__ import annotations
@@ -377,27 +377,14 @@ def cmd_verify(args) -> int:
     from .verify import load_repro, run_case, run_verify
 
     if getattr(args, "fuzz_repro", None):
-        # Re-run one dumped minimal netlist repro and nothing else.  A
-        # dumped failure records which backend pair disagreed; replay that
-        # pair when present, the full registry matrix for bare specs.
-        import json as _json
-        from pathlib import Path as _Path
-
+        # Re-run one dumped minimal netlist repro and nothing else.
         try:
             spec = load_repro(args.fuzz_repro)
-            document = _json.loads(
-                _Path(args.fuzz_repro).read_text(encoding="utf-8")
-            )
         except (OSError, ValueError, KeyError) as error:
             raise SystemExit(f"verify: cannot load repro: {error}")
-        pairs = None
-        if "oracle" in document and "candidate" in document:
-            pairs = ((document["oracle"], document["candidate"]),)
-        status, check, detail, pair = run_case(spec, pairs=pairs)
-        suffix = ""
-        if status != "ok":
-            suffix = f" ({check} [{pair[0]} vs {pair[1]}]: {detail})"
-        print(f"repro seed {spec.get('seed')}: {status}{suffix}")
+        status, check, detail = run_case(spec)
+        print(f"repro seed {spec.get('seed')}: {status}"
+              + (f" ({check}: {detail})" if status != "ok" else ""))
         return 0 if status != "fail" else EXIT_VERIFY
 
     tier = args.tier
@@ -868,9 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--goldens-dir", default=None, metavar="DIR",
                         help="golden store (default: <repo>/goldens)")
     verify.add_argument("--fuzz", type=int, default=0, metavar="N",
-                        help="run N differential backend fuzz cases over "
-                             "every registry backend pair after the "
-                             "golden checks")
+                        help="run N differential backend fuzz cases "
+                             "after the golden checks")
     verify.add_argument("--fuzz-seed", type=int, default=0, metavar="S",
                         help="base seed of the fuzz campaign (default 0)")
     verify.add_argument("--fuzz-repro", default=None, metavar="FILE",

@@ -168,10 +168,10 @@ def render_dc_split(report: Dict[str, Any]) -> str:
 
     Summarises the ``dc.assemble.seconds`` / ``dc.factor.seconds``
     histograms the solver records per solve, with the per-backend solve
-    counts from the ``dc.backend.*`` counters appended when more than the
-    default backend ran (mixed-backend runs happen during verification and
-    crossover benchmarking); empty when neither histogram was observed
-    (obs off, or a run with no DC solves).
+    counts from the ``dc.backend.*`` counters appended when two or more
+    backends ran (mixed-backend runs happen during verification); empty
+    when neither histogram was observed (obs off, or a run with no DC
+    solves).
     """
     histograms = report.get("histograms", {})
     assemble = histograms.get("dc.assemble.seconds")
@@ -194,7 +194,7 @@ def render_dc_split(report: Dict[str, Any]) -> str:
         for key, count in report.get("counters", {}).items()
         if key.startswith(prefix)
     }
-    if by_backend:
+    if len(by_backend) >= 2:
         split = ", ".join(
             f"{name} {count}" for name, count in sorted(by_backend.items())
         )

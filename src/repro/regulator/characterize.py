@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..cell.design import DEFAULT_CELL, CellDesign
 from ..cell.retention import retains
 from ..devices.pvt import PVT
@@ -114,6 +115,7 @@ def min_resistance_for_drf(
             # A single intractable grid point (typically when the operating
             # point sits exactly on the weak-cell crowbar transition) only
             # coarsens the bracketing; monotonicity lets the scan continue.
+            obs.count("characterize.scan.skipped")
             session.reset()
             continue
         if _fails(op.vddcc, drv, ds_time, pvt, cell):
@@ -149,6 +151,7 @@ def _refine(
         try:
             op, _ = session.solve(mid)
         except ConvergenceError:
+            obs.count("characterize.refine.truncated")
             break
         if _fails(op.vddcc, drv, ds_time, pvt, cell):
             r_fail = mid

@@ -20,11 +20,8 @@ Public API
 :func:`solve_dc_batch`, :class:`SweepSession`, :func:`log_bisect`
     Batched/warm-started sweeps over the compiled assembly plan.
 :func:`default_backend`, :func:`set_default_backend`, :func:`using_backend`
-    Assembly-backend selection (``"compiled"`` / ``"sparse"`` vs the
-    ``"reference"`` per-element stamp oracle).
-:class:`SparseCircuit`, :func:`sparse_plan`, :func:`sparse_threshold`
-    CSR assembly + SuperLU solves for array-scale netlists
-    (``backend="sparse"``).
+    Assembly-backend selection (``"compiled"`` vs the ``"reference"``
+    per-element stamp oracle).
 """
 
 from .circuit import Circuit
@@ -47,7 +44,6 @@ from .dc import (
     using_backend,
 )
 from .compiled import CompiledCircuit, compiled_plan
-from .sparse import SparseCircuit, sparse_plan, sparse_threshold
 from .sources import (
     PiecewiseLinearVoltageSource,
     PulseVoltageSource,
@@ -59,11 +55,8 @@ from .transient import TransientResult, solve_transient
 __all__ = [
     "BACKENDS",
     "CompiledCircuit",
-    "SparseCircuit",
     "SweepSession",
     "compiled_plan",
-    "sparse_plan",
-    "sparse_threshold",
     "default_backend",
     "log_bisect",
     "set_default_backend",

@@ -30,6 +30,11 @@ Select per call (``solve_dc(..., backend="reference")``), per process
 (:func:`set_default_backend` or ``REPRO_SPICE_BACKEND``), or lexically
 (:func:`using_backend`).  The campaign cache fingerprints the active
 default so resumed sweeps never mix results from different assemblers.
+
+Both backends produce a dense Jacobian and share one linear step,
+:func:`_dense_solve`: scipy's LAPACK ``dgesv`` when scipy is importable,
+``np.linalg.solve`` otherwise (``numpy`` is the only declared
+dependency).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ try:
     # ``np.linalg.solve`` wrapper overhead (type promotion, error-state
     # handling) costs more than the factorisation itself.
     from scipy.linalg.lapack import dgesv as _lapack_dgesv
-except ImportError:  # pragma: no cover - scipy is a baked-in dependency
+except ImportError:  # pragma: no cover - numpy-only installs
     _lapack_dgesv = None
 
 
@@ -68,12 +73,10 @@ def _dense_solve(jacobian: np.ndarray, neg_residual: np.ndarray) -> Optional[np.
     except np.linalg.LinAlgError:
         return None
 
-#: Registered assembly/solve backends.  ``reference`` is the semantic
-#: oracle, ``compiled`` the dense production path, ``sparse`` the CSR +
-#: SuperLU path for large netlists (:mod:`repro.spice.sparse`).  The
-#: differential gauntlet (``repro verify --fuzz``) draws backend *pairs*
-#: from this registry, so a new entry is fuzzed against every older one.
-BACKENDS = ("compiled", "reference", "sparse")
+
+#: Registered assembly backends: ``compiled`` (production) and
+#: ``reference`` (the oracle ``repro verify --fuzz`` checks it against).
+BACKENDS = ("compiled", "reference")
 
 _default_backend: Optional[str] = None
 
@@ -201,47 +204,27 @@ def _assemble(
 #: safe.
 Assembler = Callable[..., Tuple[np.ndarray, np.ndarray]]
 
-#: A linear-step solver maps ``(jacobian, -residual)`` to ``dx`` or
-#: ``None`` on a singular system.  The Jacobian representation is
-#: backend-owned (dense ndarray or scipy CSR); the matching solver comes
-#: from :func:`_make_assembler`.
-LinearSolve = Callable[[Any, np.ndarray], Optional[np.ndarray]]
-
 
 def _make_assembler(
     circuit: Circuit, backend: str
-) -> Tuple[Assembler, Callable[[], None], "LinearSolve"]:
-    """Build ``(assemble, refresh, linear_solve)`` for ``backend``.
+) -> Tuple[Assembler, Callable[[], None]]:
+    """Build ``(assemble, refresh)`` for ``circuit`` under ``backend``.
 
     ``refresh`` re-gathers mutable element values into the compiled plan;
     it is a no-op for the reference path, which reads elements directly.
     Solvers call it once per solve (and per transient step) so that value
     mutations between solves are picked up without recompiling.
-    ``linear_solve`` maps ``(jacobian, -residual)`` to a Newton step (or
-    ``None`` on a singular matrix): direct LAPACK for the dense backends,
-    SuperLU for the sparse one.
     """
     if backend == "reference":
         def assemble(x, gmin, source_scale, dt=None, x_prev=None):
             return _assemble(circuit, x, gmin, source_scale, dt, x_prev)
 
-        return assemble, lambda: None, _dense_solve
-    if backend == "sparse":
-        from .sparse import sparse_linear_solve, sparse_plan
-
-        plan = sparse_plan(circuit)
-        plan.refresh()
-        if plan.delegated:
-            # Below the crossover threshold the sparse plan IS the dense
-            # plan; hand its assemble/solve out directly so the delegated
-            # path pays zero per-iteration indirection.
-            return plan.plan.assemble, plan.refresh, _dense_solve
-        return plan.assemble, plan.refresh, sparse_linear_solve
+        return assemble, lambda: None
     from .compiled import compiled_plan
 
     plan = compiled_plan(circuit)
     plan.refresh()
-    return plan.assemble, plan.refresh, _dense_solve
+    return plan.assemble, plan.refresh
 
 
 class _SolveTimer:
@@ -283,21 +266,18 @@ def _newton(
     dt: Optional[float] = None,
     x_prev: Optional[np.ndarray] = None,
     timer: Optional[_SolveTimer] = None,
-    linear_solve: LinearSolve = _dense_solve,
 ) -> Tuple[Optional[np.ndarray], int]:
     """One damped-Newton run; returns ``(solution or None, iterations)``.
 
     The iteration count feeds the telemetry histograms and the failure
-    trail attached to :class:`ConvergenceError`.  ``linear_solve`` is the
-    backend's step solver (dense LAPACK by default, SuperLU for CSR
-    Jacobians).
+    trail attached to :class:`ConvergenceError`.
     """
     x = x0.copy()
     if timer is not None:
         assembler = timer.wrap(assembler)
     residual, jacobian = assembler(x, gmin, source_scale, dt, x_prev)
     norm = float(np.sqrt(np.dot(residual, residual)))
-    rhs = np.empty_like(x)  # owned rhs/solution buffer for linear_solve
+    rhs = np.empty_like(x)  # owned rhs/solution buffer for _dense_solve
     for iteration in range(max_iter):
         # Campaign deadline enforcement: a single None comparison when no
         # deadline is armed, a DeadlineExceeded (which is NOT a
@@ -307,10 +287,10 @@ def _newton(
         np.negative(residual, out=rhs)
         if timer is not None:
             t0 = time.perf_counter()
-            dx = linear_solve(jacobian, rhs)
+            dx = _dense_solve(jacobian, rhs)
             timer.factor_s += time.perf_counter() - t0
         else:
-            dx = linear_solve(jacobian, rhs)
+            dx = _dense_solve(jacobian, rhs)
         if dx is None or not np.isfinite(dx).all():
             return None, iteration
         # Clip voltage updates (branch-current updates are left free).
@@ -433,7 +413,7 @@ def _solve_dc_once(
     trail of every strategy tried.
     """
     _assign_branch_indices(circuit)
-    assemble, _refresh, linear_solve = _make_assembler(circuit, backend)
+    assemble, _refresh = _make_assembler(circuit, backend)
     n = circuit.unknown_count()
     n_nodes = circuit.node_count - 1
     warm = x0 is not None and bool(np.any(x0))
@@ -449,7 +429,6 @@ def _solve_dc_once(
         return _newton(
             assemble, n_nodes, guess, step_gmin, scale,
             max_iter, vstep_limit, tol_i, timer=timer,
-            linear_solve=linear_solve,
         )
 
     first_strategy = "newton-warm" if warm else "newton"

@@ -81,26 +81,19 @@ def _newton_batch(
             break
         iterations = iteration + 1
         dx = np.zeros_like(X)
-        if isinstance(jacobian, np.ndarray) and jacobian.ndim == 3:
-            # Dense stacked Jacobians from the compiled plan.
-            try:
-                dx[active] = np.linalg.solve(
-                    jacobian[active], -residual[active][..., None]
-                )[..., 0]
-            except np.linalg.LinAlgError:
-                # Some point's Jacobian is singular; fail points individually
-                # so the rest of the batch keeps iterating.
-                for p in np.flatnonzero(active):
-                    try:
-                        dx[p] = np.linalg.solve(jacobian[p], -residual[p])
-                    except np.linalg.LinAlgError:
-                        failed[p] = True
-                        dx[p] = 0.0
-        else:
-            # Sparse backend: (P, nnz) CSR data rows; the plan factorises
-            # each active point and fills dx / failed in place.
-            plan.solve_batch(jacobian, residual, active, dx, failed)
-            active = active & ~failed
+        try:
+            dx[active] = np.linalg.solve(
+                jacobian[active], -residual[active][..., None]
+            )[..., 0]
+        except np.linalg.LinAlgError:
+            # Some point's Jacobian is singular; fail points individually so
+            # the rest of the batch keeps iterating.
+            for p in np.flatnonzero(active):
+                try:
+                    dx[p] = np.linalg.solve(jacobian[p], -residual[p])
+                except np.linalg.LinAlgError:
+                    failed[p] = True
+                    dx[p] = 0.0
         bad = active & ~np.isfinite(dx).all(axis=1)
         if bad.any():
             failed |= bad
@@ -170,16 +163,11 @@ def solve_dc_batch(
     backend = _resolve_backend(backend)
     start = time.perf_counter()
 
-    if backend in ("compiled", "sparse"):
+    if backend == "compiled":
         _assign_branch_indices(circuit)
-        if backend == "sparse":
-            from .sparse import sparse_plan
+        from .compiled import compiled_plan
 
-            plan = sparse_plan(circuit)
-        else:
-            from .compiled import compiled_plan
-
-            plan = compiled_plan(circuit)
+        plan = compiled_plan(circuit)
         branch_row = plan.vsource_branch_row(source_name)
     else:
         plan = None
@@ -306,11 +294,6 @@ class SweepSession:
             from .compiled import compiled_plan
 
             compiled_plan(circuit)
-        elif self.backend == "sparse":
-            _assign_branch_indices(circuit)
-            from .sparse import sparse_plan
-
-            sparse_plan(circuit)
 
     def _kwargs(self) -> dict:
         return dict(

@@ -90,7 +90,7 @@ def solve_transient(
     _assign_branch_indices(circuit)
     if x0 is None:
         x0 = solve_dc(circuit, gmin=gmin, backend=backend).x
-    assemble, refresh, linear_solve = _make_assembler(circuit, backend)
+    assemble, refresh = _make_assembler(circuit, backend)
     n_nodes = circuit.node_count - 1
     timer = _SolveTimer() if obs.enabled() else None
     times = [0.0]
@@ -102,7 +102,6 @@ def solve_transient(
         return _newton(
             assemble, n_nodes, guess, gmin, 1.0, max_iter, vstep_limit,
             tol_i, dt=step_dt, x_prev=prev, timer=timer,
-            linear_solve=linear_solve,
         )
 
     while t < t_stop - 1e-15:

@@ -30,7 +30,6 @@ from .fuzz import (
     CHECKS,
     FuzzFailure,
     FuzzReport,
-    backend_pairs,
     build_circuit,
     generate_spec,
     load_repro,
@@ -64,7 +63,6 @@ __all__ = [
     "Tolerance",
     "TolerancePolicy",
     "VerifyReport",
-    "backend_pairs",
     "build_circuit",
     "compare_payloads",
     "default_goldens_dir",

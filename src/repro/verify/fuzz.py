@@ -1,29 +1,18 @@
-"""Differential backend fuzzing: the solver registry against itself.
+"""Differential backend fuzzing: compiled vs reference on random netlists.
 
-The repo carries numerically independent solver paths: the per-element
-``Element.stamp`` reference oracle, the compiled scatter-index plan
-(:mod:`repro.spice.compiled`) and the CSR/SuperLU sparse backend
-(:mod:`repro.spice.sparse`).  The property tests pin their agreement on
+The repo carries two numerically independent solver paths: the per-element
+``Element.stamp`` reference oracle and the compiled scatter-index plan
+(:mod:`repro.spice.compiled`).  The property tests pin their agreement on
 hypothesis-generated circuits; this module is the *operational* version of
 the same contract - a seeded ``random.Random`` netlist generator (no test
 framework in the loop) that any environment can run via
 ``repro verify --fuzz N``, with failing cases shrunk to a minimal netlist
 and dumped to disk as a self-contained JSON repro.
 
-Checks run over backend *pairs* drawn from the registry
-(:func:`backend_pairs`): each backend is compared against every
-more-trusted backend, giving the full three-way matrix
-``reference<->compiled``, ``reference<->sparse`` and ``compiled<->sparse``
-(the last one cross-checks the two optimised paths against each other, so
-a bug common to one shared code path but not the other still surfaces).
-When the sparse backend participates, its small-netlist dense delegation
-is disabled (:func:`repro.spice.sparse.sparse_threshold`) so the fuzz
-exercises the real CSR assembly and SuperLU factorisation on every case.
-
 A generated netlist is topology-valid by construction: a resistor spanning
 chain ties every node to ground (well-posed DC operating point), a single
 swept voltage source feeds the chain, and MOSFETs / capacitors / current
-sources land on arbitrary nodes.  Four checks run per case and pair:
+sources land on arbitrary nodes.  Four checks run per case:
 
 * ``assembly_dc``        - residual and Jacobian of one DC assembly agree
   to rounding (ULP-level) at a random state;
@@ -32,7 +21,7 @@ sources land on arbitrary nodes.  Four checks run per case and pair:
 * ``dc_solution``        - full Newton solves from the same initial state
   agree to nanovolts;
 * ``batch_sweep``        - lock-step batched Newton over a source sweep
-  agrees with the oracle's sequential sweep.
+  agrees with the sequential reference sweep.
 
 Every check is deterministic given the case seed, so a CI failure replays
 exactly from the dumped spec (or from ``--fuzz-seed``).
@@ -40,7 +29,6 @@ exactly from the dumped spec (or from ``--fuzz-seed``).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import random
@@ -63,7 +51,6 @@ __all__ = [
     "CHECKS",
     "FuzzFailure",
     "FuzzReport",
-    "backend_pairs",
     "build_circuit",
     "generate_spec",
     "load_repro",
@@ -74,48 +61,6 @@ __all__ = [
 
 #: Check names in execution order.
 CHECKS = ("assembly_dc", "assembly_transient", "dc_solution", "batch_sweep")
-
-#: Trust order for picking the oracle side of a pair: the reference
-#: per-element stamps are the ground truth, the compiled plan earned its
-#: trust through PR 3's gauntlet, sparse is the newest arrival.  Backends
-#: added to the registry later default to least-trusted.
-_TRUST_ORDER = ("reference", "compiled", "sparse")
-
-
-def backend_pairs() -> Tuple[Tuple[str, str], ...]:
-    """All ``(oracle, candidate)`` pairs drawn from the backend registry.
-
-    Each registered backend is paired with every more-trusted one (see
-    ``_TRUST_ORDER``), so a three-backend registry yields the full matrix:
-    ``(reference, compiled)``, ``(reference, sparse)`` and
-    ``(compiled, sparse)``.  A backend registered in
-    :data:`repro.spice.dc.BACKENDS` but absent from the trust order is
-    treated as least-trusted and still gets paired - new backends are
-    gated automatically, never silently skipped.
-    """
-    from ..spice.dc import BACKENDS
-
-    ordered = [b for b in _TRUST_ORDER if b in BACKENDS]
-    ordered += sorted(b for b in BACKENDS if b not in _TRUST_ORDER)
-    return tuple(
-        (ordered[i], ordered[j])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    )
-
-
-def _forcing_sparse(*backends: str):
-    """Disable sparse dense-delegation while a sparse backend is under test.
-
-    Fuzz netlists are tiny (2-6 nodes), far below the sparse backend's
-    delegation threshold; without this the sparse side of a pair would be
-    the compiled plan in disguise and the CSR path would go unfuzzed.
-    """
-    if "sparse" in backends:
-        from ..spice.sparse import sparse_threshold
-
-        return sparse_threshold(0)
-    return contextlib.nullcontext()
 
 _CORNERS = ("typical", "fast", "slow", "fs", "sf")
 _TEMPS = (-40.0, 25.0, 125.0)
@@ -214,45 +159,27 @@ def _random_state(spec: Dict[str, Any], label: str, n: int) -> np.ndarray:
     return rng.uniform(-1.5, 1.5, size=n)
 
 
-def _densify(matrix):
-    """CSR Jacobians compare as dense; dense ones pass through untouched."""
-    return matrix.toarray() if hasattr(matrix, "toarray") else matrix
-
-
 def _compare_assembly(
-    oracle_out: Tuple[np.ndarray, Any],
-    candidate_out: Tuple[np.ndarray, Any],
-    oracle: str,
-    candidate: str,
+    reference: Tuple[np.ndarray, np.ndarray],
+    compiled: Tuple[np.ndarray, np.ndarray],
 ) -> Optional[str]:
     for part, ref, got in zip(
-        ("residual", "jacobian"), oracle_out, candidate_out
+        ("residual", "jacobian"), reference, compiled
     ):
-        ref, got = _densify(ref), _densify(got)
         close = np.isclose(got, ref, rtol=ASSEMBLY_RTOL, atol=ASSEMBLY_ATOL)
         if not close.all():
             where = np.argwhere(~close)[0]
             index = tuple(int(i) for i in where)
             return (
-                f"{part}{index}: {oracle} {ref[tuple(where)]!r} vs "
-                f"{candidate} {got[tuple(where)]!r}"
+                f"{part}{index}: reference {ref[tuple(where)]!r} vs "
+                f"compiled {got[tuple(where)]!r}"
             )
     return None
 
 
-def _assembler_for(circuit, backend: str):
-    """The backend's refreshed ``assemble`` callable for ``circuit``."""
-    from ..spice.dc import _make_assembler
-
-    assemble, refresh, _linear_solve = _make_assembler(circuit, backend)
-    refresh()
-    return assemble
-
-
-def _check_assembly_dc(
-    spec: Dict[str, Any], oracle: str, candidate: str
-) -> Tuple[str, str]:
-    from ..spice.dc import _assign_branch_indices
+def _check_assembly_dc(spec: Dict[str, Any]) -> Tuple[str, str]:
+    from ..spice.compiled import compiled_plan
+    from ..spice.dc import _assemble, _assign_branch_indices
 
     circuit = build_circuit(spec)
     _assign_branch_indices(circuit)
@@ -260,19 +187,19 @@ def _check_assembly_dc(
     rng = random.Random(_sub_seed(spec["seed"], "assembly_dc:params"))
     gmin = rng.choice((0.0, 1e-12, 1e-6))
     scale = rng.uniform(0.05, 1.0)
-    with _forcing_sparse(oracle, candidate):
-        oracle_out = _assembler_for(circuit, oracle)(x, gmin, scale)
-        candidate_out = _assembler_for(circuit, candidate)(x, gmin, scale)
-        detail = _compare_assembly(oracle_out, candidate_out, oracle, candidate)
+    reference = _assemble(circuit, x, gmin, scale)
+    plan = compiled_plan(circuit)
+    plan.refresh()
+    compiled = plan.assemble(x, gmin, scale)
+    detail = _compare_assembly(reference, compiled)
     if detail:
         return "fail", f"gmin={gmin:g} scale={scale:g}: {detail}"
     return "ok", ""
 
 
-def _check_assembly_transient(
-    spec: Dict[str, Any], oracle: str, candidate: str
-) -> Tuple[str, str]:
-    from ..spice.dc import _assign_branch_indices
+def _check_assembly_transient(spec: Dict[str, Any]) -> Tuple[str, str]:
+    from ..spice.compiled import compiled_plan
+    from ..spice.dc import _assemble, _assign_branch_indices
 
     circuit = build_circuit(spec)
     _assign_branch_indices(circuit)
@@ -281,50 +208,40 @@ def _check_assembly_transient(
     x_prev = _random_state(spec, "assembly_tr:prev", n)
     rng = random.Random(_sub_seed(spec["seed"], "assembly_tr:params"))
     dt = _log_uniform(rng, 1e-12, 1e-3)
-    with _forcing_sparse(oracle, candidate):
-        oracle_out = _assembler_for(circuit, oracle)(
-            x, 1e-12, 1.0, dt=dt, x_prev=x_prev
-        )
-        candidate_out = _assembler_for(circuit, candidate)(
-            x, 1e-12, 1.0, dt=dt, x_prev=x_prev
-        )
-        detail = _compare_assembly(oracle_out, candidate_out, oracle, candidate)
+    reference = _assemble(circuit, x, 1e-12, 1.0, dt=dt, x_prev=x_prev)
+    plan = compiled_plan(circuit)
+    plan.refresh()
+    compiled = plan.assemble(x, 1e-12, 1.0, dt=dt, x_prev=x_prev)
+    detail = _compare_assembly(reference, compiled)
     if detail:
         return "fail", f"dt={dt:g}: {detail}"
     return "ok", ""
 
 
-def _check_dc_solution(
-    spec: Dict[str, Any], oracle: str, candidate: str
-) -> Tuple[str, str]:
+def _check_dc_solution(spec: Dict[str, Any]) -> Tuple[str, str]:
     from ..spice import ConvergenceError, solve_dc
 
-    with _forcing_sparse(oracle, candidate):
-        try:
-            oracle_sol = solve_dc(build_circuit(spec), backend=oracle)
-        except ConvergenceError:
-            return "skip", f"{oracle} backend did not converge"
-        try:
-            circuit = build_circuit(spec)
-            candidate_sol = solve_dc(circuit, backend=candidate)
-        except ConvergenceError as error:
-            return "fail", (
-                f"{candidate} diverged where {oracle} converged: {error}"
-            )
+    try:
+        reference = solve_dc(build_circuit(spec), backend="reference")
+    except ConvergenceError:
+        return "skip", "reference backend did not converge"
+    try:
+        circuit = build_circuit(spec)
+        compiled = solve_dc(circuit, backend="compiled")
+    except ConvergenceError as error:
+        return "fail", f"compiled diverged where reference converged: {error}"
     n_nodes = circuit.node_count - 1
-    diff = np.abs(oracle_sol.x[:n_nodes] - candidate_sol.x[:n_nodes])
+    diff = np.abs(reference.x[:n_nodes] - compiled.x[:n_nodes])
     if diff.size and diff.max() > DC_BACKEND_AGREEMENT_V:
         node = int(np.argmax(diff))
         return "fail", (
-            f"node {node + 1}: |{oracle} - {candidate}| = {diff.max():.3e} V "
+            f"node {node + 1}: |reference - compiled| = {diff.max():.3e} V "
             f"> {DC_BACKEND_AGREEMENT_V:g} V"
         )
     return "ok", ""
 
 
-def _check_batch_sweep(
-    spec: Dict[str, Any], oracle: str, candidate: str
-) -> Tuple[str, str]:
+def _check_batch_sweep(spec: Dict[str, Any]) -> Tuple[str, str]:
     from ..spice import ConvergenceError, dc_sweep, solve_dc_batch
 
     v0 = next(
@@ -334,30 +251,26 @@ def _check_batch_sweep(
     # the same branch of any bistable characteristic the random MOSFETs
     # might have formed; branch selection is not the contract under test.
     values = list(np.linspace(0.8 * v0, 1.2 * v0, 7))
-    with _forcing_sparse(oracle, candidate):
-        try:
-            sequential = dc_sweep(
-                build_circuit(spec), "vs", values, backend=oracle
-            )
-        except ConvergenceError:
-            return "skip", f"{oracle} sweep did not converge"
-        try:
-            batch = solve_dc_batch(
-                build_circuit(spec), "vs", values, backend=candidate
-            )
-        except ConvergenceError as error:
-            return "fail", (
-                f"{candidate} batch sweep diverged where {oracle} swept: "
-                f"{error}"
-            )
+    try:
+        sequential = dc_sweep(
+            build_circuit(spec), "vs", values, backend="reference"
+        )
+    except ConvergenceError:
+        return "skip", "reference sweep did not converge"
+    try:
+        batch = solve_dc_batch(
+            build_circuit(spec), "vs", values, backend="compiled"
+        )
+    except ConvergenceError as error:
+        return "fail", f"batch sweep diverged where reference swept: {error}"
     n_nodes = build_circuit(spec).node_count - 1
     for index, (b, s) in enumerate(zip(batch, sequential)):
         diff = np.abs(b.x[:n_nodes] - s.x[:n_nodes])
         if diff.size and diff.max() > SWEEP_BATCH_AGREEMENT_V:
             return "fail", (
                 f"sweep point {index} (vs={values[index]:.4f} V): "
-                f"|{candidate} batch - {oracle} sequential| = "
-                f"{diff.max():.3e} V > {SWEEP_BATCH_AGREEMENT_V:g} V"
+                f"|batch - sequential| = {diff.max():.3e} V "
+                f"> {SWEEP_BATCH_AGREEMENT_V:g} V"
             )
     return "ok", ""
 
@@ -371,33 +284,24 @@ _CHECK_FUNCS = {
 
 
 def run_case(
-    spec: Dict[str, Any],
-    checks: Sequence[str] = CHECKS,
-    pairs: Optional[Sequence[Tuple[str, str]]] = None,
-) -> Tuple[str, str, str, Tuple[str, str]]:
-    """Run the checks on one spec over the backend-pair matrix.
+    spec: Dict[str, Any], checks: Sequence[str] = CHECKS
+) -> Tuple[str, str, str]:
+    """Run the checks on one spec; returns (status, check, detail).
 
-    Returns ``(status, check, detail, (oracle, candidate))``.  Status is
-    ``'ok'`` when every check passes on every pair, ``'fail'`` on the
-    first disagreement, ``'skip'`` when at least one check skipped (oracle
-    non-convergence) and none failed.  ``pairs`` defaults to the full
-    registry matrix (:func:`backend_pairs`).
+    Status is ``'ok'`` when every check passes, ``'fail'`` on the first
+    disagreement, ``'skip'`` when at least one check skipped (reference
+    non-convergence) and none failed.
     """
-    if pairs is None:
-        pairs = backend_pairs()
-    skipped: Optional[Tuple[str, Tuple[str, str]]] = None
-    for pair in pairs:
-        oracle, candidate = pair
-        for check in checks:
-            status, detail = _CHECK_FUNCS[check](spec, oracle, candidate)
-            if status == "fail":
-                return "fail", check, detail, pair
-            if status == "skip":
-                skipped = (check, pair)
-    if skipped is not None:
-        check, pair = skipped
-        return "skip", check, f"{pair[0]} did not converge", pair
-    return "ok", "", "", ("", "")
+    skipped = ""
+    for check in checks:
+        status, detail = _CHECK_FUNCS[check](spec)
+        if status == "fail":
+            return "fail", check, detail
+        if status == "skip":
+            skipped = check
+    if skipped:
+        return "skip", skipped, "reference did not converge"
+    return "ok", "", ""
 
 
 # ---------------------------------------------------------------- shrinking
@@ -440,7 +344,6 @@ def _prune_tail(spec: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 def shrink_spec(
     spec: Dict[str, Any],
     check: str,
-    pair: Optional[Tuple[str, str]] = None,
     max_rounds: int = 20,
 ) -> Dict[str, Any]:
     """Greedy element removal: the smallest spec still failing ``check``.
@@ -449,16 +352,11 @@ def shrink_spec(
     chain tail nodes); a removal is kept when the same check still fails.
     Terminates at a fixpoint - a 1-minimal netlist with respect to element
     removal - which is what a human wants to stare at, not the 10-element
-    original.  ``pair`` restricts the replay to the backend pair that
-    failed (the default re-runs the full matrix).
+    original.
     """
-    pairs = None if pair is None else (pair,)
-
     def still_fails(candidate: Dict[str, Any]) -> bool:
         try:
-            status, failed_check, _, _ = run_case(
-                candidate, checks=(check,), pairs=pairs
-            )
+            status, failed_check, _ = run_case(candidate, checks=(check,))
         except Exception:
             # A candidate that errors out in a new way is not a smaller
             # instance of the *same* bug; don't shrink into it.
@@ -488,12 +386,7 @@ def shrink_spec(
 
 @dataclass
 class FuzzFailure:
-    """One backend-pair disagreement, with its minimal repro.
-
-    ``oracle`` and ``candidate`` record both backend names so a dumped
-    repro is self-describing: replaying it re-runs exactly the pair that
-    disagreed, not whatever the registry default happens to be later.
-    """
+    """One compiled-vs-reference disagreement, with its minimal repro."""
 
     case_index: int
     seed: int
@@ -501,15 +394,13 @@ class FuzzFailure:
     detail: str
     spec: Dict[str, Any]
     shrunk: Dict[str, Any]
-    oracle: str = "reference"
-    candidate: str = "compiled"
     repro_path: Optional[str] = None
 
     def render(self) -> str:
         location = f" -> {self.repro_path}" if self.repro_path else ""
         return (
-            f"case {self.case_index} (seed {self.seed}) failed {self.check} "
-            f"[{self.oracle} vs {self.candidate}]: {self.detail} "
+            f"case {self.case_index} (seed {self.seed}) failed {self.check}: "
+            f"{self.detail} "
             f"[shrunk to {len(self.shrunk['elements'])} elements]{location}"
         )
 
@@ -519,8 +410,6 @@ class FuzzFailure:
             "seed": self.seed,
             "check": self.check,
             "detail": self.detail,
-            "oracle": self.oracle,
-            "candidate": self.candidate,
             "spec": self.spec,
             "shrunk": self.shrunk,
             "repro_path": self.repro_path,
@@ -562,10 +451,7 @@ class FuzzReport:
 def _dump_repro(failure: FuzzFailure, repro_dir) -> str:
     directory = Path(repro_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / (
-        f"fuzz-{failure.check}-{failure.oracle}-vs-{failure.candidate}"
-        f"-seed{failure.seed}.json"
-    )
+    path = directory / f"fuzz-{failure.check}-seed{failure.seed}.json"
     path.write_text(
         json.dumps(failure.to_dict(), sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
@@ -585,7 +471,6 @@ def run_fuzz(
     n_cases: int,
     seed: int = 0,
     checks: Sequence[str] = CHECKS,
-    pairs: Optional[Sequence[Tuple[str, str]]] = None,
     repro_dir=None,
     shrink: bool = True,
     max_failures: int = 10,
@@ -594,15 +479,14 @@ def run_fuzz(
 
     Case ``k`` uses the derived seed ``crc32(seed:k)``, so any individual
     failure reproduces from its own seed without re-running the campaign.
-    ``pairs`` defaults to the full registry matrix.  Stops collecting (but
-    keeps counting) after ``max_failures`` failures.
+    Stops collecting (but keeps counting) after ``max_failures`` failures.
     """
     report = FuzzReport(base_seed=seed)
     with obs.span("verify.fuzz"):
         for index in range(n_cases):
             case_seed = _sub_seed(seed, f"case:{index}")
             spec = generate_spec(case_seed)
-            status, check, detail, pair = run_case(spec, checks, pairs=pairs)
+            status, check, detail = run_case(spec, checks)
             report.cases += 1
             obs.count("verify.fuzz.cases")
             if status == "ok":
@@ -613,11 +497,8 @@ def run_fuzz(
                 obs.count("verify.fuzz.skipped")
                 continue
             obs.count("verify.fuzz.failures")
-            shrunk = shrink_spec(spec, check, pair=pair) if shrink else spec
-            failure = FuzzFailure(
-                index, case_seed, check, detail, spec, shrunk,
-                oracle=pair[0], candidate=pair[1],
-            )
+            shrunk = shrink_spec(spec, check) if shrink else spec
+            failure = FuzzFailure(index, case_seed, check, detail, spec, shrunk)
             if repro_dir is not None:
                 failure.repro_path = _dump_repro(failure, repro_dir)
             if len(report.failures) < max_failures:

@@ -406,6 +406,25 @@ class TestDcSplitRender:
 
         assert render_dc_split({"histograms": {}}) == ""
 
+    def test_single_backend_run_has_no_backend_suffix(self):
+        from repro.obs.render import render_dc_split
+
+        report = self._report(0.75, 0.25, 12)
+        report["counters"] = {"dc.backend.compiled": 12}
+        line = render_dc_split(report)
+        assert "over 12 solves" in line
+        assert "[" not in line
+
+    def test_mixed_backend_run_lists_both(self):
+        from repro.obs.render import render_dc_split
+
+        report = self._report(0.75, 0.25, 12)
+        report["counters"] = {
+            "dc.backend.compiled": 9, "dc.backend.reference": 3,
+        }
+        line = render_dc_split(report)
+        assert line.endswith(" [compiled 9, reference 3]")
+
     def test_full_report_carries_split_line(self):
         from repro.obs.render import render_report
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.devices.pvt import PVT
 from repro.regulator import (
     DEFECTS,
@@ -10,8 +11,10 @@ from repro.regulator import (
     min_resistance_for_drf,
     vreg_curve,
 )
-from repro.regulator.characterize import characterize_over_grid
+from repro.regulator.characterize import _R_GRID, characterize_over_grid
 from repro.regulator.defects import DefectCategory
+from repro.regulator.netlist import RegulatorSession
+from repro.spice import ConvergenceError
 
 HOT = PVT("fs", 1.0, 125.0)
 SEL = VrefSelect.VREF74
@@ -61,6 +64,43 @@ class TestMinResistance:
         r = min_resistance_for_drf(DEFECTS[8], drv_cs2, HOT, SEL)
         # RC thresholds land far above the DC defects' ohm-to-kiloohm range.
         assert r is not None and 1e4 < r < 5e8
+
+
+def _failing_solve(monkeypatch, fails_at):
+    """Make ``RegulatorSession.solve`` raise where ``fails_at(R)`` holds."""
+    exact = RegulatorSession.solve
+
+    def solve(self, resistance=0.0, *args, **kwargs):
+        if fails_at(resistance):
+            raise ConvergenceError(f"injected at R={resistance:g}")
+        return exact(self, resistance, *args, **kwargs)
+
+    monkeypatch.setattr(RegulatorSession, "solve", solve)
+
+
+class TestSwallowedFailuresAreCounted:
+    """A ConvergenceError the search absorbs still leaves a counter."""
+
+    def test_skipped_scan_point_is_counted(self, drv_cs2, monkeypatch):
+        clean = min_resistance_for_drf(DEFECTS[1], drv_cs2, HOT, SEL)
+        _failing_solve(monkeypatch, lambda r: r == float(_R_GRID[0]))
+        with obs.recording() as rec:
+            r = min_resistance_for_drf(DEFECTS[1], drv_cs2, HOT, SEL)
+        assert rec.counters["characterize.scan.skipped"] == 1
+        assert "characterize.refine.truncated" not in rec.counters
+        assert r == clean  # the first grid point passes; the bracket holds
+
+    def test_truncated_refinement_is_counted(self, drv_cs2, monkeypatch):
+        clean = min_resistance_for_drf(DEFECTS[1], drv_cs2, HOT, SEL)
+        grid = {float(r) for r in _R_GRID}
+        # Bisection midpoints are the only defect resistances off the grid
+        # (R = 0 is the fault-free baseline): the first one raises.
+        _failing_solve(monkeypatch, lambda r: r > 0 and r not in grid)
+        with obs.recording() as rec:
+            r = min_resistance_for_drf(DEFECTS[1], drv_cs2, HOT, SEL)
+        assert rec.counters["characterize.refine.truncated"] == 1
+        assert "characterize.scan.skipped" not in rec.counters
+        assert r in grid and r >= clean  # the unrefined failing grid point
 
 
 class TestCharacterizeOverGrid:

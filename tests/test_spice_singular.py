@@ -1,11 +1,10 @@
-"""Singular / ill-conditioned netlists: all backends fail the same way.
+"""Singular / ill-conditioned netlists: every backend fails the same way.
 
 The solver contract for an unsolvable system is a
 :class:`~repro.spice.dc.ConvergenceError` carrying the full strategy
-trail in ``.context`` - never a raw ``numpy.linalg.LinAlgError`` (dense
-backends) or SuperLU ``RuntimeError`` (sparse backend).  The reference
-behavior was pinned first (see each case's comment) and the compiled and
-sparse backends must conform to it exactly:
+trail in ``.context`` - never a raw ``numpy.linalg.LinAlgError``.  The
+reference behavior was pinned first (see each case's comment) and the
+compiled backend must conform to it exactly:
 
 * netlists whose MNA matrix is *exactly* singular (conflicting or
   redundant parallel voltage sources produce identical branch rows) make
@@ -16,8 +15,10 @@ sparse backends must conform to it exactly:
   converge to the same operating point on every backend - the suite pins
   that they converge rather than assuming they fail.
 
-The sparse backend runs with the dense-delegation threshold forced to
-zero so the SuperLU error path itself is what gets exercised.
+Besides the registry backends, every case also runs as ``NUMPY_ONLY``:
+the compiled backend with scipy's LAPACK fast path masked, so the
+``np.linalg.solve`` fallback a numpy-only install takes is held to the
+same contract.
 """
 
 import numpy as np
@@ -29,9 +30,15 @@ from repro.spice import (
     ConvergenceError,
     solve_dc,
     solve_dc_batch,
-    sparse_threshold,
 )
+from repro.spice import dc as spice_dc
 from repro.verify.tolerances import DC_BACKEND_AGREEMENT_V
+
+#: The compiled backend solving through ``np.linalg.solve`` (no scipy).
+NUMPY_ONLY = "compiled-numpy-only"
+
+#: Every linear-solve path a singular netlist can meet.
+SOLVERS = (*BACKENDS, NUMPY_ONLY)
 
 
 def _conflicting_vsources():
@@ -92,24 +99,28 @@ def _isource_node():
     return circuit
 
 
-def _solve(make_circuit, backend):
-    with sparse_threshold(0):
+def _solve(make_circuit, solver, monkeypatch):
+    with monkeypatch.context() as patch:
+        backend = solver
+        if solver == NUMPY_ONLY:
+            patch.setattr(spice_dc, "_lapack_dgesv", None)
+            backend = "compiled"
         return solve_dc(make_circuit(), backend=backend)
 
 
 class TestExactlySingular:
     """Rank-deficient netlists exhaust the strategy chain identically."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", SOLVERS)
     @pytest.mark.parametrize(
         "make_circuit", [_conflicting_vsources, _redundant_vsources],
         ids=["conflicting", "redundant"],
     )
     def test_raises_convergence_error_with_strategy_trail(
-        self, make_circuit, backend
+        self, make_circuit, backend, monkeypatch
     ):
         with pytest.raises(ConvergenceError) as excinfo:
-            _solve(make_circuit, backend)
+            _solve(make_circuit, backend, monkeypatch)
         error = excinfo.value
         strategies = error.context.get("strategies")
         assert strategies, "failure must carry the machine-readable trail"
@@ -125,11 +136,13 @@ class TestExactlySingular:
         "make_circuit", [_conflicting_vsources, _redundant_vsources],
         ids=["conflicting", "redundant"],
     )
-    def test_failure_trail_is_identical_across_backends(self, make_circuit):
+    def test_failure_trail_is_identical_across_backends(
+        self, make_circuit, monkeypatch
+    ):
         trails = {}
-        for backend in BACKENDS:
+        for backend in SOLVERS:
             with pytest.raises(ConvergenceError) as excinfo:
-                _solve(make_circuit, backend)
+                _solve(make_circuit, backend, monkeypatch)
             trails[backend] = excinfo.value.context["strategies"]
         reference = trails["reference"]
         for backend, trail in trails.items():
@@ -137,25 +150,23 @@ class TestExactlySingular:
                 f"{backend} diverged from the pinned reference trail"
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_no_raw_linear_algebra_exceptions(self, backend):
-        """Neither LinAlgError nor SuperLU's RuntimeError may escape."""
+    @pytest.mark.parametrize("backend", SOLVERS)
+    def test_no_raw_linear_algebra_exceptions(self, backend, monkeypatch):
+        """No LinAlgError may escape, from LAPACK or from numpy."""
         try:
-            _solve(_conflicting_vsources, backend)
+            _solve(_conflicting_vsources, backend, monkeypatch)
         except ConvergenceError:
             pass
         # Any other exception type propagates and fails the test.
 
     def test_singular_point_in_a_batch_sweep_fails_cleanly(self):
         """A batched sweep over a singular netlist raises ConvergenceError
-        (from the per-point fallback chain), not a raw scipy error."""
-        for backend in ("compiled", "sparse"):
-            with sparse_threshold(0):
-                with pytest.raises(ConvergenceError):
-                    solve_dc_batch(
-                        _conflicting_vsources(), "v1", [0.8, 1.0, 1.2],
-                        backend=backend,
-                    )
+        (from the per-point fallback chain), not a raw LinAlgError."""
+        with pytest.raises(ConvergenceError):
+            solve_dc_batch(
+                _conflicting_vsources(), "v1", [0.8, 1.0, 1.2],
+                backend="compiled",
+            )
 
 
 class TestGminRescued:
@@ -165,9 +176,12 @@ class TestGminRescued:
         "make_circuit", [_floating_node, _isource_node],
         ids=["floating-node", "isource-node"],
     )
-    def test_all_backends_converge_to_the_same_point(self, make_circuit):
+    def test_all_backends_converge_to_the_same_point(
+        self, make_circuit, monkeypatch
+    ):
         solutions = {
-            backend: _solve(make_circuit, backend) for backend in BACKENDS
+            backend: _solve(make_circuit, backend, monkeypatch)
+            for backend in SOLVERS
         }
         reference = solutions["reference"]
         n_nodes = make_circuit().node_count - 1

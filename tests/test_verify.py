@@ -24,7 +24,6 @@ from repro.verify.compare import (
     render_mismatches,
 )
 from repro.verify.fuzz import (
-    backend_pairs,
     build_circuit,
     generate_spec,
     load_repro,
@@ -228,25 +227,28 @@ class TestFuzz:
         for seed in range(20):
             circuit = build_circuit(generate_spec(seed))
             assert circuit.node_count >= 3
-            status, check, detail, pair = run_case(generate_spec(seed))
-            assert status in ("ok", "skip"), (
-                f"seed {seed}: {check} {pair}: {detail}"
-            )
+            status, check, detail = run_case(generate_spec(seed))
+            assert status in ("ok", "skip"), f"seed {seed}: {check} {detail}"
 
-    def test_backend_pairs_cover_the_registry_matrix(self):
-        """Every registered backend is paired against every more-trusted
-        one - the three-way matrix the sparse backend lands through."""
-        pairs = backend_pairs()
-        assert ("reference", "compiled") in pairs
-        assert ("reference", "sparse") in pairs
-        assert ("compiled", "sparse") in pairs
+    def test_fuzz_pits_compiled_against_the_reference_oracle(
+        self, monkeypatch
+    ):
+        """The one fuzzed pair covers the whole registry, and a
+        disagreement names both sides."""
         from repro.spice import BACKENDS
+        from repro.spice import dc as spice_dc
 
-        expected = len(BACKENDS) * (len(BACKENDS) - 1) // 2
-        assert len(pairs) == expected
-        for oracle, candidate in pairs:
-            assert oracle in BACKENDS and candidate in BACKENDS
-            assert oracle != candidate
+        assert set(BACKENDS) == {"reference", "compiled"}
+        exact = spice_dc._assemble
+
+        def skewed(*args, **kwargs):
+            residual, jacobian = exact(*args, **kwargs)
+            return residual + 1e-3, jacobian
+
+        monkeypatch.setattr(spice_dc, "_assemble", skewed)
+        status, check, detail = run_case(generate_spec(3))
+        assert (status, check) == ("fail", "assembly_dc")
+        assert "reference" in detail and "compiled" in detail
 
     def test_run_fuzz_agrees_and_is_deterministic(self):
         first = run_fuzz(15, seed=7)
@@ -258,7 +260,7 @@ class TestFuzz:
     def test_shrinker_reaches_one_minimal(self, monkeypatch):
         """With a synthetic 'fails iff a MOSFET is present' check, the
         shrinker must strip every cap/isource and all but one MOSFET."""
-        def fails_on_mosfet(spec, oracle, candidate):
+        def fails_on_mosfet(spec):
             kinds = [el["kind"] for el in spec["elements"]]
             if "mosfet" in kinds:
                 return "fail", f"{kinds.count('mosfet')} mosfet(s)"
@@ -268,19 +270,19 @@ class TestFuzz:
             fuzz_mod._CHECK_FUNCS, "synthetic", fails_on_mosfet
         )
         spec = _spec_with(min_mosfets=2, min_caps=1)
-        shrunk = shrink_spec(spec, "synthetic", pair=("reference", "compiled"))
+        shrunk = shrink_spec(spec, "synthetic")
         kinds = [el["kind"] for el in shrunk["elements"]]
         assert kinds.count("mosfet") == 1
         assert kinds.count("capacitor") == 0
         assert kinds.count("isource") == 0
         assert len(shrunk["elements"]) < len(spec["elements"])
-        status, check, _, _ = run_case(shrunk, checks=("synthetic",))
+        status, check, _ = run_case(shrunk, checks=("synthetic",))
         assert (status, check) == ("fail", "synthetic")
 
     def test_failures_are_dumped_and_reloadable(self, tmp_path, monkeypatch):
         monkeypatch.setitem(
             fuzz_mod._CHECK_FUNCS, "synthetic",
-            lambda spec, oracle, candidate: ("fail", "always"),
+            lambda spec: ("fail", "always"),
         )
         report = run_fuzz(
             2, seed=3, checks=("synthetic",), repro_dir=tmp_path
@@ -289,13 +291,8 @@ class TestFuzz:
         assert len(report.failures) == 2
         for failure in report.failures:
             assert failure.repro_path is not None
-            # The dump is self-describing: both backend names recorded in
-            # the payload and in the filename.
-            assert failure.oracle and failure.candidate
-            assert f"{failure.oracle}-vs-{failure.candidate}" in failure.repro_path
-            document = json.loads(Path(failure.repro_path).read_text())
-            assert document["oracle"] == failure.oracle
-            assert document["candidate"] == failure.candidate
+            name = Path(failure.repro_path).name
+            assert name == f"fuzz-synthetic-seed{failure.seed}.json"
             reloaded = load_repro(failure.repro_path)
             assert reloaded == failure.shrunk
         assert "disagreement" in report.render()
@@ -304,6 +301,17 @@ class TestFuzz:
         spec = generate_spec(5)
         path = tmp_path / "bare.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
+        assert load_repro(path) == spec
+
+    def test_load_repro_accepts_pair_keyed_dump(self, tmp_path):
+        """Dumps that also name an oracle/candidate pair replay their
+        shrunk spec; the pair keys are ignored."""
+        spec = generate_spec(5)
+        path = tmp_path / "fuzz-dc_solution-reference-vs-compiled-seed5.json"
+        path.write_text(json.dumps({
+            "check": "dc_solution", "oracle": "reference",
+            "candidate": "compiled", "spec": spec, "shrunk": spec,
+        }), encoding="utf-8")
         assert load_repro(path) == spec
 
 

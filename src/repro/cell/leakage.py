@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import obs
 from ..devices.variation import CellVariation
 from .design import DEFAULT_CELL, CellDesign
 from .vtc import inverter_vtc
 
-#: Fixed-point iterations locating the stable hold state on the VTCs.
+#: Cap on the fixed-point rounds locating the stable hold state on the VTCs.
+#: The loop exits at the first exact repeat of SB or S; below ~0.1 V the
+#: iterate can still be moving after the last round (counted as
+#: ``leakage.hold.capped``).
 _STATE_ITERATIONS = 24
 
 
@@ -25,12 +29,25 @@ def _hold_state(v, models):
 
     Found by iterating the composed VTC map from the S-high corner; the map
     is a contraction onto the stable point on that side of the butterfly.
+    Both VTCs are deterministic and elementwise, so once either half-round
+    returns exactly what it returned a round earlier (every element, for an
+    array ``v``), every later half-round repeats too: stopping there gives
+    the bits of the full ``_STATE_ITERATIONS`` loop.  Below ~0.1 V the
+    iterate may not repeat within the cap; the last round is returned, as
+    before, and the call counts once as ``leakage.hold.capped``.
     """
     v = np.asarray(v, dtype=float)
-    s = v.copy()
+    s, sb = v.copy(), None
     for _ in range(_STATE_ITERATIONS):
-        sb = inverter_vtc(s, v, models["mpcc2"], models["mncc2"], models["mncc4"])
-        s = inverter_vtc(sb, v, models["mpcc1"], models["mncc1"], models["mncc3"])
+        sb_next = inverter_vtc(s, v, models["mpcc2"], models["mncc2"], models["mncc4"])
+        if np.array_equal(sb_next, sb):
+            return s, sb_next  # s = V1(sb) = V1(sb_next): the round repeats
+        sb = sb_next
+        s_next = inverter_vtc(sb, v, models["mpcc1"], models["mncc1"], models["mncc3"])
+        if np.array_equal(s_next, s):
+            return s_next, sb
+        s = s_next
+    obs.count("leakage.hold.capped")
     return s, sb
 
 

@@ -144,8 +144,13 @@ class MosfetModel:
         self.gate_leak_g = params.gate_leak_density * params.w * params.l
 
     # ------------------------------------------------------------------ core
-    def _forward(self, vgs, vds):
-        """NMOS-convention current for vds >= 0, with partials (vgs, vds)."""
+    def _terms(self, vgs, vds):
+        """Shared front half of the EKV current for vds >= 0.
+
+        Returns ``(u_f, u_r, sp_f, sp_r, clm, base)``; the drain current is
+        ``base * clm``.  :meth:`_forward` and :meth:`ids_value` both build on
+        it, so there is one current expression.
+        """
         n_phi = self.n * self.phi_t
         u_f = (vgs - self.vth_eff) / n_phi
         u_r = (vgs - self.vth_eff - self.n * vds) / n_phi
@@ -155,6 +160,12 @@ class MosfetModel:
         f_r = sp_r * sp_r
         clm = 1.0 + self.lambda_ * vds
         base = self._i0 * (f_f - f_r)
+        return u_f, u_r, sp_f, sp_r, clm, base
+
+    def _forward(self, vgs, vds):
+        """NMOS-convention current for vds >= 0, with partials (vgs, vds)."""
+        n_phi = self.n * self.phi_t
+        u_f, u_r, sp_f, sp_r, clm, base = self._terms(vgs, vds)
         i = base * clm
         # F'(u) = softplus(u/2) * sigmoid(u/2)
         fp_f = sp_f * _sigmoid(u_f / 2.0)
@@ -207,7 +218,8 @@ class MosfetModel:
         s_eff = np.where(swap, vd, vs)
         vgs = vg - s_eff
         vds = d_eff - s_eff
-        i, _, _ = self._forward(vgs, vds)
+        *_, clm, base = self._terms(vgs, vds)
+        i = base * clm
         i = np.where(swap, -i, i)
         result = sign * i
         if result.ndim == 0:

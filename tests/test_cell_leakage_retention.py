@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cell import array_leakage_current, cell_leakage_current, flip_time, retains
 from repro.devices import CellVariation
 
@@ -31,9 +32,18 @@ class TestLeakage:
         assert array == pytest.approx(one * 4096 * 64, rel=1e-9)
 
     def test_vector_and_scalar_agree(self):
-        vec = cell_leakage_current(np.array([0.5, 0.7]))
-        assert cell_leakage_current(0.5) == pytest.approx(vec[0])
-        assert cell_leakage_current(0.7) == pytest.approx(vec[1])
+        """Exactly, with a capped supply (0.05 V) beside converged ones."""
+        supplies = [0.05, 0.5, 0.7]
+        vec = cell_leakage_current(np.array(supplies))
+        for k, v in enumerate(supplies):
+            assert cell_leakage_current(v) == vec[k]
+
+    @pytest.mark.parametrize("v, capped", [(0.05, 1), (0.4, 0)])
+    def test_hold_state_cap_is_counted_once_per_call(self, v, capped):
+        """At -40 C, 0.05 V does not repeat within 24 rounds; 0.4 V does."""
+        with obs.recording() as rec:
+            cell_leakage_current(v, temp_c=-40.0)
+        assert rec.counters.get("leakage.hold.capped", 0) == capped
 
     def test_asymmetric_cell_leaks_differently(self):
         sym = cell_leakage_current(0.7)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cell import DEFAULT_CELL, cell_leakage_current
 from repro.cell.leakage import _hold_state
+from repro.cell.vtc import inverter_vtc
 from repro.devices import CellVariation
 from repro.spice import solve_dc
 from repro.verify.tolerances import (
@@ -19,6 +20,19 @@ from repro.verify.tolerances import (
 )
 
 SYM = CellVariation.symmetric()
+
+#: Hold-state supplies: <= 0.1 V can reach the round cap, the rest repeat early.
+HOLD_GRID = (0.05, 0.1, 0.2, 0.4, 0.6, 1.1)
+
+
+def _hold_state_full_loop(v, models):
+    """The hold-state fixed point without the early exit: always 24 rounds."""
+    v = np.asarray(v, dtype=float)
+    s = v.copy()
+    for _ in range(24):
+        sb = inverter_vtc(s, v, models["mpcc2"], models["mncc2"], models["mncc4"])
+        s = inverter_vtc(sb, v, models["mpcc1"], models["mncc1"], models["mncc3"])
+    return s, sb
 
 
 def _solve_hold(vdd, variation=SYM, corner="typical", temp=25.0, state_high=True):
@@ -56,6 +70,26 @@ class TestHoldStateAgreement:
         _c0, sol0 = _solve_hold(0.9, state_high=False)
         assert sol1.voltage("s") > 0.8 and sol1.voltage("sb") < 0.1
         assert sol0.voltage("sb") > 0.8 and sol0.voltage("s") < 0.1
+
+    @pytest.mark.parametrize("temp", [-40.0, 25.0, 125.0])
+    @pytest.mark.parametrize("corner", ["typical", "fs", "sf"])
+    def test_early_exit_matches_the_full_round_loop(self, corner, temp):
+        """Stopping at the first exact repeat returns the 24-round bits.
+
+        The grid spans supplies where the iterate repeats within a few
+        rounds and ones (<= 0.1 V) where it can run into the cap; the array
+        call exits only once every element has repeated.
+        """
+        models = DEFAULT_CELL.models(SYM, corner, temp)
+        grid = np.array(HOLD_GRID)
+        ref_s, ref_sb = _hold_state_full_loop(grid, models)
+        s, sb = _hold_state(grid, models)
+        assert s.tobytes() == ref_s.tobytes()
+        assert sb.tobytes() == ref_sb.tobytes()
+        for k, vdd in enumerate(HOLD_GRID):
+            s_k, sb_k = _hold_state(vdd, models)
+            assert s_k.tobytes() == ref_s[k].tobytes(), vdd
+            assert sb_k.tobytes() == ref_sb[k].tobytes(), vdd
 
     def test_monostable_below_drv(self):
         """Far below DRV for a skewed cell, both seeds land in one state."""

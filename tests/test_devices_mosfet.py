@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.devices import CORNERS, MosfetModel, nmos_params, pmos_params
 
@@ -105,6 +105,20 @@ class TestDerivatives:
         assert gg == pytest.approx(gg_n, abs=2e-4 * scale + 1e-13)
         assert gd == pytest.approx(gd_n, abs=2e-4 * scale + 1e-13)
         assert gs == pytest.approx(gs_n, abs=2e-4 * scale + 1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vg=st.floats(-0.2, 1.4),
+        vd=st.floats(-0.2, 1.4),
+        vs=st.floats(-0.2, 1.4),
+        polarity=st.sampled_from(["n", "p"]),
+    )
+    @example(vg=0.8, vd=0.2, vs=0.6, polarity="n")  # vd < vs: swapped terminals
+    @example(vg=0.3, vd=0.2, vs=1.1, polarity="p")
+    def test_value_is_the_ids_current_bit_for_bit(self, vg, vd, vs, polarity):
+        """``ids_value`` stops at the current ``ids`` computes with partials."""
+        m = _nmos() if polarity == "n" else _pmos()
+        assert m.ids_value(vg, vd, vs) == m.ids(vg, vd, vs)[0]
 
     def test_terminal_derivative_sum_zero(self):
         """KCL: shifting all terminals together changes nothing."""

@@ -9,7 +9,10 @@ eye, so it is part of the VTC by construction.
 
 The output voltage for a whole array of input voltages is found with a
 vectorised bisection on the node's KCL residual, which is strictly monotone
-in the output voltage.
+in the output voltage.  Only the output (every device's drain) moves during
+the bisection, so each device's drain-independent half of the EKV current is
+computed once per solve (:meth:`MosfetModel.drain_sweep`); the residual is
+bit-identical to summing three ``ids_value`` calls.
 """
 
 from __future__ import annotations
@@ -25,19 +28,6 @@ from ..devices.mosfet import MosfetModel
 _BISECTION_STEPS = 44
 
 
-def _node_residual(v_out, v_in, vdd_cell, pullup, pulldown, pass_gate):
-    """KCL residual at the inverter output node (positive when node too high).
-
-    Currents out of the node: pull-down drain current + pass-gate leakage to
-    the grounded bit line + the pull-up PMOS drain->source current (negative
-    when the PMOS feeds the node).
-    """
-    i_down = pulldown.ids_value(v_in, v_out, 0.0)
-    i_pass = pass_gate.ids_value(0.0, v_out, 0.0)
-    i_up = pullup.ids_value(v_in, v_out, vdd_cell)
-    return i_down + i_pass + i_up
-
-
 def inverter_vtc(
     v_in: np.ndarray,
     vdd_cell,
@@ -51,17 +41,23 @@ def inverter_vtc(
     (corner, temperature, Vth offset).  ``vdd_cell`` may be a scalar or an
     array broadcastable against ``v_in`` (e.g. a ``(V, 1)`` supply column
     against a ``(V, G)`` input grid for batched-supply butterfly curves).
-    Returns an array of the broadcast shape.
+    Returns an array of the broadcast shape.  Raises ``ValueError`` for a
+    negative supply: the bracket ``[0, vdd]`` would be inverted.
     """
     v_in = np.asarray(v_in, dtype=float)
     vdd_cell = np.asarray(vdd_cell, dtype=float)
+    if np.any(vdd_cell < 0.0):
+        raise ValueError(f"inverter_vtc: negative cell supply {vdd_cell.min():g} V")
     shape = np.broadcast_shapes(v_in.shape, vdd_cell.shape)
     lo = np.zeros(shape)
     hi = np.broadcast_to(vdd_cell, shape).astype(float, copy=True)
+    # Every mid stays in [0, vdd]: the drain side of all three devices.
+    i_down = pulldown.drain_sweep(v_in, 0.0)
+    i_pass = pass_gate.drain_sweep(0.0, 0.0)
+    i_up = pullup.drain_sweep(v_in, vdd_cell)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        residual = _node_residual(mid, v_in, vdd_cell, pullup, pulldown, pass_gate)
-        too_high = residual > 0.0
+        too_high = i_down(mid) + i_pass(mid) + i_up(mid) > 0.0
         hi = np.where(too_high, mid, hi)
         lo = np.where(too_high, lo, mid)
     return 0.5 * (lo + hi)

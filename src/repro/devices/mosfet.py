@@ -144,22 +144,37 @@ class MosfetModel:
         self.gate_leak_g = params.gate_leak_density * params.w * params.l
 
     # ------------------------------------------------------------------ core
+    def _gate_half(self, vgs):
+        """Drain-independent half of the EKV current: ``(a, u_f, sp_f, f_f)``.
+
+        ``a = vgs - vth_eff`` is the overdrive both normalised voltages
+        start from; ``f_f = F(u_f)`` is the forward term.
+        """
+        a = vgs - self.vth_eff
+        u_f = a / (self.n * self.phi_t)
+        sp_f = _softplus(u_f / 2.0)
+        return a, u_f, sp_f, sp_f * sp_f
+
+    def _drain_half(self, a, f_f, vds):
+        """Drain-dependent half on a gate half: ``(u_r, sp_r, clm, base)``."""
+        u_r = (a - self.n * vds) / (self.n * self.phi_t)
+        sp_r = _softplus(u_r / 2.0)
+        clm = 1.0 + self.lambda_ * vds
+        base = self._i0 * (f_f - sp_r * sp_r)
+        return u_r, sp_r, clm, base
+
     def _terms(self, vgs, vds):
         """Shared front half of the EKV current for vds >= 0.
 
         Returns ``(u_f, u_r, sp_f, sp_r, clm, base)``; the drain current is
-        ``base * clm``.  :meth:`_forward` and :meth:`ids_value` both build on
-        it, so there is one current expression.
+        ``base * clm``.  It is :meth:`_gate_half` then :meth:`_drain_half`;
+        :meth:`_forward`, :meth:`ids_value` and :meth:`drain_sweep` all build
+        on those two, so there is one current expression.  The split is
+        exact: ``vgs - vth - n*vds`` already evaluates as
+        ``(vgs - vth) - n*vds``.
         """
-        n_phi = self.n * self.phi_t
-        u_f = (vgs - self.vth_eff) / n_phi
-        u_r = (vgs - self.vth_eff - self.n * vds) / n_phi
-        sp_f = _softplus(u_f / 2.0)
-        sp_r = _softplus(u_r / 2.0)
-        f_f = sp_f * sp_f
-        f_r = sp_r * sp_r
-        clm = 1.0 + self.lambda_ * vds
-        base = self._i0 * (f_f - f_r)
+        a, u_f, sp_f, f_f = self._gate_half(vgs)
+        u_r, sp_r, clm, base = self._drain_half(a, f_f, vds)
         return u_f, u_r, sp_f, sp_r, clm, base
 
     def _forward(self, vgs, vds):
@@ -225,6 +240,37 @@ class MosfetModel:
         if result.ndim == 0:
             return float(result)
         return result
+
+    def drain_sweep(self, vg, vs):
+        """``vd -> ids_value(vg, vd, vs)`` with the gate half computed once.
+
+        For loops where only the drain moves (the VTC bisection).  Valid on
+        the drain side only: ``vd >= vs`` for NMOS, ``vd <= vs`` for PMOS.
+        There :meth:`ids_value` never swaps terminals and forms the same
+        ``vgs = vg - vs`` and ``vds = vd - vs`` (for PMOS ``(-vg) - (-vs)``
+        and ``(-vd) - (-vs)``, the same floats), so the result is the same
+        bit for bit.  Off the drain side nothing swaps the terminals, so the
+        result there is wrong.
+        """
+        pmos = self.params.polarity == "p"
+        vg = np.asarray(vg, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        if pmos:
+            vg, vs = -vg, -vs
+        sign = -1.0 if pmos else 1.0
+        a, _, _, f_f = self._gate_half(vg - vs)
+
+        def ids_at(vd):
+            vd = np.asarray(vd, dtype=float)
+            if pmos:
+                vd = -vd
+            *_, clm, base = self._drain_half(a, f_f, vd - vs)
+            result = sign * (base * clm)
+            if result.ndim == 0:
+                return float(result)
+            return result
+
+        return ids_at
 
     # --------------------------------------------------------------- parasitics
     def gate_capacitance(self) -> float:

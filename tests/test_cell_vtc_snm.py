@@ -49,6 +49,64 @@ class TestInverterVTC:
         assert np.allclose(s_of_sb, sb_of_s, atol=1e-6)
 
 
+def _reference_vtc(v_in, vdd_cell, pullup, pulldown, pass_gate):
+    """The 44-step bisection with three ``ids_value`` calls per step."""
+    v_in = np.asarray(v_in, dtype=float)
+    vdd_cell = np.asarray(vdd_cell, dtype=float)
+    shape = np.broadcast_shapes(v_in.shape, vdd_cell.shape)
+    lo = np.zeros(shape)
+    hi = np.broadcast_to(vdd_cell, shape).astype(float, copy=True)
+    for _ in range(44):
+        mid = 0.5 * (lo + hi)
+        residual = (
+            pulldown.ids_value(v_in, mid, 0.0)
+            + pass_gate.ids_value(0.0, mid, 0.0)
+            + pullup.ids_value(v_in, mid, vdd_cell)
+        )
+        too_high = residual > 0.0
+        hi = np.where(too_high, mid, hi)
+        lo = np.where(too_high, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestInverterVTCExactness:
+    """``inverter_vtc`` is the three-``ids_value`` bisection, bit for bit."""
+
+    @pytest.mark.parametrize("corner", ["typical", "fs", "sf"])
+    @pytest.mark.parametrize("temp", [-40.0, 25.0, 125.0])
+    @pytest.mark.parametrize(
+        "variation", [SYM, CellVariation(mpcc1=-3, mncc1=-3)], ids=["sym", "cs2"]
+    )
+    def test_matches_reference_bisection(self, corner, temp, variation):
+        m = _models(variation, corner, temp)
+        grid = np.linspace(0.0, 1.1, 23)
+        supplies = np.array([0.0, 0.05, 0.3, 1.1])[:, None]
+        for half in (("mpcc1", "mncc1", "mncc3"), ("mpcc2", "mncc2", "mncc4")):
+            devices = [m[name] for name in half]
+            for v_in, vdd in ((0.2, 0.4), (grid, 0.6), (grid, supplies)):
+                got = inverter_vtc(v_in, vdd, *devices)
+                assert np.array_equal(got, _reference_vtc(v_in, vdd, *devices))
+            # Dense inputs across the switching point, one row per supply:
+            # there the residual is flattest, so a last-bit change in its
+            # sum is most likely to flip a bisection decision.
+            rails = np.array([0.3, 1.1])[:, None]
+            coarse = np.linspace(0.0, 1.0, 101) * rails
+            out = _reference_vtc(coarse, rails, *devices)
+            i = np.argmax(out < 0.5 * rails, axis=1)
+            rows = np.arange(len(rails))
+            band = np.linspace(coarse[rows, i - 1], coarse[rows, i], 1001, axis=1)
+            got = inverter_vtc(band, rails, *devices)
+            assert np.array_equal(got, _reference_vtc(band, rails, *devices))
+
+    def test_negative_supply_rejected(self):
+        m = _models()
+        devices = (m["mpcc1"], m["mncc1"], m["mncc3"])
+        with pytest.raises(ValueError, match="negative cell supply"):
+            inverter_vtc(np.array([0.0, -0.1]), -0.2, *devices)
+        with pytest.raises(ValueError, match="negative cell supply"):
+            inverter_vtc(np.array([0.0, 0.1]), np.array([[0.5], [-1e-12]]), *devices)
+
+
 class TestSNM:
     def test_symmetric_cell_equal_lobes(self):
         snm1, snm0 = snm_ds(SYM, 1.1)

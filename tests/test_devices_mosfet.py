@@ -127,6 +127,64 @@ class TestDerivatives:
         assert gg + gd + gs == pytest.approx(0.0, abs=1e-9)
 
 
+def _drain_side(vs, d, polarity):
+    """A drain voltage ``d`` away from ``vs`` on the device's drain side."""
+    return vs + d if polarity == "n" else vs - d
+
+
+class TestDrainSweep:
+    """``drain_sweep(vg, vs)(vd)`` is ``ids_value(vg, vd, vs)`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vg=st.floats(-0.2, 1.4),
+        vs=st.floats(-0.2, 1.4),
+        d=st.floats(0.0, 1.4),
+        polarity=st.sampled_from(["n", "p"]),
+    )
+    @example(vg=0.8, vs=0.3, d=0.0, polarity="n")  # vd == vs
+    @example(vg=0.3, vs=1.1, d=0.0, polarity="p")
+    def test_scalar(self, vg, vs, d, polarity):
+        m = _nmos() if polarity == "n" else _pmos()
+        vd = _drain_side(vs, d, polarity)
+        got = m.drain_sweep(vg, vs)(vd)
+        assert type(got) is float
+        assert got == m.ids_value(vg, vd, vs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vg=st.floats(-0.2, 1.4),
+        vs=st.floats(-0.2, 1.4),
+        ds=st.lists(st.floats(0.0, 1.4), min_size=1, max_size=8),
+        polarity=st.sampled_from(["n", "p"]),
+    )
+    def test_one_dimensional(self, vg, vs, ds, polarity):
+        m = _nmos() if polarity == "n" else _pmos()
+        vd = _drain_side(vs, np.array(ds + [0.0]), polarity)
+        sweep = m.drain_sweep(vg, vs)
+        assert np.array_equal(sweep(vd), m.ids_value(vg, vd, vs))
+        # The gate half is reused across calls: a second sweep step agrees too.
+        assert np.array_equal(sweep(vd[::-1]), m.ids_value(vg, vd[::-1], vs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        vgs=st.lists(st.floats(-0.2, 1.4), min_size=1, max_size=6),
+        vss=st.lists(st.floats(0.0, 1.4), min_size=1, max_size=4),
+        frac=st.floats(0.0, 1.0),
+        polarity=st.sampled_from(["n", "p"]),
+    )
+    def test_column_against_row_broadcast(self, vgs, vss, frac, polarity):
+        """A ``(V, 1)`` source column against a ``(G,)`` gate row."""
+        m = _nmos() if polarity == "n" else _pmos()
+        vg = np.array(vgs)
+        vs = np.array(vss)[:, None]
+        d = frac * np.linspace(0.0, 1.4, vg.size)
+        vd = _drain_side(vs, d, polarity)
+        got = m.drain_sweep(vg, vs)(vd)
+        assert got.shape == (vs.shape[0], vg.size)
+        assert np.array_equal(got, m.ids_value(vg, vd, vs))
+
+
 class TestTemperatureAndCorners:
     def test_leakage_grows_with_temperature(self):
         cold = _nmos(-30.0).ids_value(0.0, 1.1, 0.0)

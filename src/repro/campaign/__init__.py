@@ -13,14 +13,15 @@ them from hand-rolled serial loops into *campaigns*:
   policy: per-tenant fair-share queues, token-bucket rate limits,
   lost-chunk bisection, suspect graduation and the respawn cap, all
   clock-injected and unit-testable without processes;
-* :mod:`repro.campaign.runtime` - the process side: the in-worker task
-  loop, the :class:`WorkerRuntime` owning the ``ProcessPoolExecutor``,
-  and the :class:`Pump` dispatch loop shared by the one-shot executor
-  and the ``repro serve`` daemon;
-* :mod:`repro.campaign.executor` - the one-shot driver: serial or
-  process-pool execution with chunked dispatch, retries with backoff,
-  failure downgrade, worker-crash recovery (pool respawn + poison-point
-  quarantine), per-task deadlines and graceful SIGINT/SIGTERM drain;
+* :mod:`repro.campaign.runtime` - the execution side: the in-worker
+  task loop, the ``WorkerRuntime`` (inline at ``jobs=1``, a
+  ``ProcessPoolExecutor`` otherwise), the ``Pump`` dispatch loop, and the
+  ``RunCore`` (cache split, checkpoint, quarantine record, pump) shared
+  by the one-shot executor and the ``repro serve`` daemon;
+* :mod:`repro.campaign.executor` - the one-shot driver: chunked dispatch,
+  retries with backoff, failure downgrade, worker-crash recovery (pool
+  respawn + poison-point quarantine), per-task deadlines and graceful
+  SIGINT/SIGTERM drain;
 * :mod:`repro.campaign.cache` - the append-only JSONL result store behind
   cache-hit skip and checkpoint/resume;
 * :mod:`repro.campaign.memo` - the shared per-process DRV memo;
@@ -34,21 +35,19 @@ subcommand.  Runs with ``observe=True`` additionally merge per-worker
 next to the result cache (see ``repro stats``).
 """
 
-from .cache import FAILURE_STATUSES, ResultCache, TaskRecord
+from .cache import ResultCache, TaskRecord
 from .executor import CampaignResult, Executor, run_campaign
-from .metrics import CampaignSummary, ProgressReporter
-from .runtime import ChunkEnv, Pump, WorkerRuntime, run_chunk
+from .metrics import CampaignSummary
+from .runtime import ChunkEnv, run_chunk
 from .scheduler import (
     BackoffPolicy,
     Chunk,
-    Lease,
     RateLimit,
     RespawnBudgetExceeded,
     Scheduler,
-    WorkerInfo,
 )
-from .spec import SweepSpec, TaskPoint, canonical, digest
-from .tasks import code_digest, get_task, registered_kinds, task
+from .spec import SweepSpec, TaskPoint
+from .tasks import registered_kinds, task
 
 __all__ = [
     "BackoffPolicy",
@@ -57,10 +56,6 @@ __all__ = [
     "Chunk",
     "ChunkEnv",
     "Executor",
-    "FAILURE_STATUSES",
-    "Lease",
-    "ProgressReporter",
-    "Pump",
     "RateLimit",
     "RespawnBudgetExceeded",
     "ResultCache",
@@ -68,12 +63,6 @@ __all__ = [
     "SweepSpec",
     "TaskPoint",
     "TaskRecord",
-    "WorkerInfo",
-    "WorkerRuntime",
-    "canonical",
-    "code_digest",
-    "digest",
-    "get_task",
     "registered_kinds",
     "run_campaign",
     "run_chunk",

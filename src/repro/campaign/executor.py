@@ -1,15 +1,16 @@
-"""Campaign execution: serial or process-pool, cache-aware, fault-tolerant.
+"""Campaign execution: cache-aware, fault-tolerant, one dispatch loop.
 
-Since the scheduler/worker split this module is the *one-shot driver*: it
-walks a :class:`~repro.campaign.spec.SweepSpec`, skips every point already
-present in the persistent cache under the current fingerprint, and runs
-the rest - inline when ``jobs=1`` (bit-identical to the historical serial
-loops), otherwise by priming a :class:`~repro.campaign.scheduler.Scheduler`
-with the pending chunks and pumping it through a
-:class:`~repro.campaign.runtime.WorkerRuntime` until drained.  The
-``repro serve`` daemon (:mod:`repro.serve`) drives the same scheduler and
-runtime continuously for many tenants; the policy lives in exactly one
-place either way.
+This module is the *one-shot driver*: it walks a
+:class:`~repro.campaign.spec.SweepSpec`, skips every point already
+present in the persistent cache under the current fingerprint, primes a
+:class:`~repro.campaign.scheduler.Scheduler` with the pending chunks and
+pumps it through a :class:`~repro.campaign.runtime.RunCore` until
+drained - inline when ``jobs=1`` (bit-identical to the historical serial
+loops), through a process pool otherwise; the choice lives in
+:class:`~repro.campaign.runtime.WorkerRuntime` alone.  The ``repro
+serve`` daemon (:mod:`repro.serve`) owns the same run core for many
+tenants; what stays here is what only a one-shot run has: signal
+handling, chaos, progress, the run-start/run-end events and the report.
 
 Tasks are dispatched in chunks so worker round-trips amortise the pickling
 overhead, and every finished chunk is checkpointed to the cache before the
@@ -72,25 +73,18 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, IO, List, Optional, Union
 
 import time
 
 from .. import chaos, obs
 from ..chaos import ChaosSpec
-from ..obs.context import TraceContext, span_record, take_spans
+from ..obs.context import TraceContext
 from ..obs.report import build_report, write_report
 from ..obs.trace import TRACE_FILENAME, TRACE_SCHEMA, TraceWriter, null_trace
 from .cache import ResultCache, TaskRecord
 from .metrics import CampaignSummary, ProgressReporter
-from .runtime import (
-    NON_RETRYABLE,
-    ChunkEnv,
-    Pump,
-    WorkerRuntime,
-    run_chunk,
-    run_one,
-)
+from .runtime import NON_RETRYABLE, ChunkEnv, RunCore
 from .scheduler import BackoffPolicy, Chunk, Scheduler, chunk_points
 from .spec import SweepSpec, TaskPoint
 
@@ -101,11 +95,6 @@ __all__ = [
     "NON_RETRYABLE",
     "run_campaign",
 ]
-
-#: Backwards-compatible aliases: the worker-side task loop moved to
-#: :mod:`repro.campaign.runtime` with the scheduler/runtime split.
-_run_one = run_one
-_run_chunk = run_chunk
 
 
 @dataclass
@@ -174,7 +163,7 @@ class Executor:
         """Ask the running campaign to drain, checkpoint and return.
 
         Idempotent and safe from signal handlers; the pump polls the
-        flag between chunks (serial) / scheduling rounds (pool).
+        flag between scheduling rounds (one chunk per round inline).
         """
         self._interrupted = True
         if signum is not None and self._interrupt_signal is None:
@@ -206,11 +195,6 @@ class Executor:
 
         return restore
 
-    # -- chunking ----------------------------------------------------------
-
-    def _chunk(self, pending: Sequence[TaskPoint]) -> List[List[TaskPoint]]:
-        return chunk_points(pending, self.jobs, self.chunksize)
-
     # -- the run -----------------------------------------------------------
 
     def run(
@@ -220,7 +204,6 @@ class Executor:
         trace: Optional[TraceWriter] = None,
     ) -> CampaignResult:
         fingerprint = spec.fingerprint()
-        context = spec.context_dict()
         recorder = obs.Recorder()
         progress = ProgressReporter(
             spec.name, len(spec.tasks), verbose=self.verbose,
@@ -231,7 +214,6 @@ class Executor:
         # The run's root trace context: every chunk/task span workers
         # record stitches back under these ids (repro trace).
         root_ctx = TraceContext.new()
-        self._trace_ctx = root_ctx
         events.emit(
             "run-start", schema=TRACE_SCHEMA, campaign=spec.name,
             fingerprint=fingerprint,
@@ -243,40 +225,9 @@ class Executor:
         )
         self._interrupted = False
         self._interrupt_signal = None
-        self._chaos_seed = spec.chaos_seed() if self.chaos_spec else ""
-        self._live_recorder = recorder
+        chaos_seed = spec.chaos_seed() if self.chaos_spec else ""
 
-        pending: List[TaskPoint] = []
-        seen = set()
-        hit_failures = 0
-        for point in spec.tasks:
-            if point.key in seen:
-                continue  # duplicated grid point: one execution serves all
-            seen.add(point.key)
-            record = cache.lookup(point.key, fingerprint) if cache else None
-            if record is not None and (record.ok or not self.rerun_failures):
-                result.records[point.key] = record
-                hit_failures += 0 if record.ok else 1
-            else:
-                pending.append(point)
-        progress.cache_hits(len(seen) - len(pending), failed=hit_failures)
-        if cache is not None and cache.corrupt_lines:
-            recorder.count("cache.lines.corrupt", cache.corrupt_lines)
-            events.emit("cache-corrupt-lines", count=cache.corrupt_lines)
-        if len(seen) > len(pending):
-            events.emit(
-                "cache-hits", count=len(seen) - len(pending),
-                failed=hit_failures,
-            )
-
-        def absorb(records: List[TaskRecord],
-                   snapshot: Optional[Dict[str, Any]]) -> None:
-            if cache is not None:
-                cache.append(records)
-            for span in take_spans(snapshot):  # before merge: not a metric
-                events.emit("span", **span)
-            if snapshot is not None:
-                recorder.merge(snapshot)
+        def deliver(_chunk: Chunk, records: List[TaskRecord]) -> None:
             for record in records:
                 result.records[record.key] = record
                 fields = {
@@ -289,30 +240,51 @@ class Executor:
                     fields["error"] = record.error
                 events.emit("task", **fields)
             progress.chunk_done(
-                len(records),
-                failed=sum(0 if r.ok else 1 for r in records),
-                quarantined=sum(1 for r in records if r.status == "crashed"),
-                timeouts=sum(1 for r in records if r.status == "timeout"),
+                len(records), failed=sum(0 if r.ok else 1 for r in records),
             )
 
+        core = RunCore(
+            self.jobs, self.retries, self.chunksize, self.deadline_s,
+            self.observe, self.backoff, cache=cache, emit=events.emit,
+            recorder=recorder, deliver=deliver,
+        )
+        hits, pending = core.split(spec.tasks, fingerprint,
+                                   self.rerun_failures)
+        hit_failures = sum(0 if r.ok else 1 for r in hits)
+        result.records.update((r.key, r) for r in hits)
+        progress.cache_hits(len(hits), failed=hit_failures)
+        if cache is not None and cache.corrupt_lines:
+            recorder.count("cache.lines.corrupt", cache.corrupt_lines)
+            events.emit("cache-corrupt-lines", count=cache.corrupt_lines)
+        if hits:
+            events.emit("cache-hits", count=len(hits), failed=hit_failures)
+
+        env = ChunkEnv(
+            context=spec.context_dict(), fingerprint=fingerprint,
+            chaos_cfg=(
+                (self.chaos_spec, chaos_seed, True) if self.chaos_spec
+                else None
+            ),
+            trace=root_ctx.to_dict() if self.observe else None,
+        )
+        scheduler = Scheduler(backoff=self.backoff)
+        scheduler.set_respawn_cap(scheduler.default_respawn_cap(len(pending)))
+        scheduler.add_all([
+            Chunk.make(points, meta=env)
+            for points in chunk_points(pending, self.jobs, self.chunksize)
+        ])
         restore_signals = self._install_signal_handlers()
         try:
             # The parent-level injector (allow_exit=False: chaos must never
             # os._exit the campaign process itself) serves two roles: it is
             # the injector for inline jobs=1 execution, and it mangles
             # cache lines in absorb() when a corruption rate is configured.
-            # Workers install their own (allow_exit=True) via the chunk env.
+            # Pool workers install their own (allow_exit=True) from the
+            # chunk env.
             with chaos.injection(
-                self.chaos_spec, self._chaos_seed, allow_exit=False
+                self.chaos_spec, chaos_seed, allow_exit=False
             ):
-                if pending:
-                    chunks = self._chunk(pending)
-                    if self.jobs == 1:
-                        self._run_serial(chunks, context, fingerprint, absorb)
-                    else:
-                        self._run_pool(
-                            chunks, context, fingerprint, absorb, events
-                        )
+                core.pump(scheduler, should_stop=lambda: self._interrupted)
         finally:
             restore_signals()
 
@@ -337,83 +309,6 @@ class Executor:
                 result.summary, recorder, result.records.values(), fingerprint
             )
         return result
-
-    # -- serial path -------------------------------------------------------
-
-    def _run_serial(self, chunks, context, fingerprint, absorb) -> None:
-        # No chunk-env chaos: the parent-level injector installed by run()
-        # (allow_exit=False) already covers inline execution.
-        trace_ctx = self._trace_ctx.to_dict() if self.observe else None
-        for chunk in chunks:
-            if self._interrupted:
-                break
-            absorb(*run_chunk(
-                chunk, context, fingerprint, self.retries, self.observe,
-                self.deadline_s, self.backoff, None, trace_ctx,
-            ))
-
-    # -- pool path ---------------------------------------------------------
-
-    def _chaos_cfg(self, in_worker: bool):
-        if self.chaos_spec is None:
-            return None
-        return (self.chaos_spec, self._chaos_seed, in_worker)
-
-    def _run_pool(self, chunks, context, fingerprint, absorb, events) -> None:
-        env = ChunkEnv(
-            context=context, fingerprint=fingerprint,
-            chaos_cfg=self._chaos_cfg(in_worker=True),
-            trace=self._trace_ctx.to_dict() if self.observe else None,
-        )
-        scheduler = Scheduler(backoff=self.backoff)
-        scheduler.set_respawn_cap(
-            scheduler.default_respawn_cap(sum(len(c) for c in chunks))
-        )
-        scheduler.add_all([Chunk.make(c, meta=env) for c in chunks])
-        runtime = WorkerRuntime(
-            jobs=self.jobs, retries=self.retries, observe=self.observe,
-            deadline_s=self.deadline_s, backoff=self.backoff,
-        )
-
-        def absorb_chunk(_chunk, records, snapshot) -> None:
-            absorb(records, snapshot)
-
-        def quarantine(_chunk, point: TaskPoint, status: str,
-                       error: str) -> None:
-            absorb([TaskRecord(
-                key=point.key, kind=point.kind, params=point.as_dict(),
-                fingerprint=fingerprint, status=status, value=None,
-                error=error, elapsed=0.0,
-                attempts=scheduler.losses(point.key) + 1,
-            )], None)
-            events.emit("quarantine", key=point.key, status=status)
-            if self.observe:
-                # The worker died before it could report this span:
-                # synthesize it parent-side so the tree stays complete.
-                events.emit("span", **span_record(
-                    self._trace_ctx.child(), f"task.{point.kind}",
-                    time.time(), 0.0, status=status, key=point.key,
-                ))
-
-        Pump(
-            scheduler, runtime, absorb_chunk, quarantine,
-            emit=events.emit, count=self._recorder_count,
-            should_stop=lambda: self._interrupted,
-        ).run()
-
-    # -- helpers -----------------------------------------------------------
-
-    #: Set by run(): the chaos seed (from the spec fingerprint), the
-    #: run-level recorder (so the recovery paths can count into them)
-    #: and the run's root trace context.
-    _chaos_seed: str = ""
-    _live_recorder: Optional["obs.Recorder"] = None
-    _trace_ctx: TraceContext = TraceContext("", "")
-
-    def _recorder_count(self, name: str, n: int) -> None:
-        recorder = self._live_recorder
-        if recorder is not None:
-            recorder.count(name, n)
 
 
 def run_campaign(

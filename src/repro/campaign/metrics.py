@@ -120,12 +120,11 @@ class ProgressReporter:
         if count:
             self._emit(f"{count} cached results reused")
 
-    def chunk_done(self, count: int, failed: int = 0,
-                   quarantined: int = 0, timeouts: int = 0) -> None:
+    def chunk_done(self, count: int, failed: int = 0) -> None:
+        # campaign.task.quarantined/timeouts are counted by RunCore.absorb,
+        # the one checkpoint path both drivers share.
         self.recorder.count("campaign.executed", count)
         self.recorder.count("campaign.failures", failed)
-        self.recorder.count("campaign.task.quarantined", quarantined)
-        self.recorder.count("campaign.task.timeouts", timeouts)
         self._emit("chunk complete")
 
     def finish(self) -> None:

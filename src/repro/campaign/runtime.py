@@ -1,42 +1,53 @@
-"""Worker runtime: the process-owning half of the executor split.
+"""Worker runtime and run core: the execution half of the executor split.
 
-Three layers, all policy-free (the decisions live in
+Four layers, all policy-free (the decisions live in
 :mod:`repro.campaign.scheduler`):
 
 * :func:`run_one` / :func:`run_chunk` - the in-worker task loop: execute
   points, downgrade failures to :class:`~repro.campaign.cache.TaskRecord`
   statuses, meter under a per-chunk recorder (these are the functions
   that cross the pickling boundary, so they live at module top level);
-* :class:`WorkerRuntime` - owns the ``ProcessPoolExecutor``: submit with
+* :class:`WorkerRuntime` - runs chunks: inline in the calling thread at
+  ``jobs=1``, otherwise through a ``ProcessPoolExecutor`` with
   parent-side budget expiries, bounded waits, broken-pool detection,
-  kill/respawn, survivor collection after a break;
+  kill/respawn and survivor collection after a break.  This is the only
+  place that chooses between inline and pool execution;
 * :class:`Pump` - the dispatch loop that marries a
   :class:`~repro.campaign.scheduler.Scheduler` to a runtime: keep the
   window full, absorb completions, requeue losses with bisection, convict
-  budget overruns, run suspects isolated.  The one-shot
-  :class:`~repro.campaign.executor.Executor` runs a pump until the
-  scheduler drains; the ``repro serve`` daemon runs the *same* pump with
-  ``stop_when_idle=False`` and keeps feeding the scheduler from live
-  tenant submissions.
+  budget overruns, run suspects isolated;
+* :class:`RunCore` - what both drivers share around the pump: the
+  execution policy, the cache split, the checkpoint path (``absorb``) and
+  the one quarantine record.  The one-shot
+  :class:`~repro.campaign.executor.Executor` builds a core per run and
+  pumps until the scheduler drains; the ``repro serve`` daemon owns one
+  core for its lifetime and pumps with an ``idle_wait``, feeding the
+  scheduler from live tenant submissions.
 
 The failure-policy matrix (what retries, what quarantines, what
 fails fast) is documented in :mod:`repro.campaign.executor` and
-DESIGN.md Section 11.
+DESIGN.md Section 11; the run core and its lock rule in Section 20.
 """
 
 from __future__ import annotations
 
 import signal
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import chaos, obs, watchdog
-from ..obs.context import TRACE_SPANS_KEY, TraceContext, span_record
+from ..obs.context import (
+    TRACE_SPANS_KEY,
+    TraceContext,
+    span_record,
+    take_spans,
+)
 from ..spice import ConvergenceError
-from .cache import TaskRecord
+from .cache import ResultCache, TaskRecord
 from .scheduler import BackoffPolicy, Chunk, Scheduler
 from .spec import TaskPoint
 
@@ -213,12 +224,21 @@ class PollEvent:
 
 
 class WorkerRuntime:
-    """The ProcessPool and its life-cycle, nothing else.
+    """Chunk execution: inline at ``jobs=1``, a ProcessPool otherwise.
 
-    The runtime tracks each submitted chunk's parent-side wall-clock
-    budget (``deadline_s * points + slack``) so hangs the in-worker
-    watchdog cannot see (C extensions, a wedged worker) are detectable
-    from outside via :meth:`expired_chunk`.
+    Inline, :meth:`submit` runs the chunk in the calling thread and parks
+    an already-finished future, so :meth:`poll`, :meth:`drain` and
+    :meth:`collect_lost` work unchanged.  The chunk env's chaos config is
+    not installed inline: the caller's ``allow_exit=False`` injector
+    covers it, and a ``crash`` fault must never ``os._exit`` the driver.
+    An exception escaping :func:`run_chunk` propagates out of
+    :meth:`submit` - there is no pool to recover into.  Inline chunks
+    carry no parent-side budget, and nothing is ever lost.
+
+    With a pool, the runtime tracks each submitted chunk's parent-side
+    wall-clock budget (``deadline_s * points + slack``) so hangs the
+    in-worker watchdog cannot see (C extensions, a wedged worker) are
+    detectable from outside via :meth:`expired_chunk`.
     """
 
     def __init__(
@@ -236,7 +256,9 @@ class WorkerRuntime:
         self.observe = observe
         self.deadline_s = deadline_s
         self.backoff = backoff
-        self.window = jobs * 2
+        self.inline = jobs == 1
+        #: Inline: one chunk at a time, checkpointed before the next runs.
+        self.window = 1 if self.inline else jobs * 2
         #: future -> (chunk, parent-budget expiry or None)
         self._inflight: Dict[Future, Tuple[Chunk, Optional[float]]] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -297,10 +319,15 @@ class WorkerRuntime:
 
     def submit(self, chunk: Chunk) -> None:
         env = chunk_env(chunk)
+        args = (list(chunk.points), env.context, env.fingerprint,
+                self.retries, self.observe, self.deadline_s, self.backoff)
+        if self.inline:
+            future: Future = Future()
+            future.set_result(run_chunk(*args, None, env.trace))
+            self._inflight[future] = (chunk, None)
+            return
         future = self._ensure_pool().submit(
-            run_chunk, list(chunk.points), env.context, env.fingerprint,
-            self.retries, self.observe, self.deadline_s, self.backoff,
-            env.chaos_cfg, env.trace,
+            run_chunk, *args, env.chaos_cfg, env.trace,
         )
         budget = self.chunk_budget(len(chunk))
         expiry = None if budget is None else time.monotonic() + budget
@@ -435,19 +462,19 @@ class WorkerRuntime:
 class Pump:
     """The dispatch loop: scheduler decisions driving the worker runtime.
 
-    Drivers supply callbacks instead of subclassing:
+    :class:`RunCore` supplies callbacks instead of subclassing:
 
     * ``absorb(chunk, records, snapshot)`` - checkpoint + account a
       finished chunk (cache append, result fan-out, progress);
-    * ``quarantine(chunk, point, status, error)`` - record a convicted
-      point (the pump never fabricates :class:`TaskRecord` objects for
-      quarantines - the driver owns record shape and cache policy);
-    * ``emit(event, **fields)`` - trace stream (optional);
-    * ``count(name, n)`` - recovery-path counters (optional);
-    * ``should_stop()`` - graceful-drain request (optional);
-    * ``idle_wait()`` - only with ``stop_when_idle=False``: block until
-      new work may have arrived (the daemon parks here between
-      submissions).
+    * ``quarantine(chunk, point, status, error, attempts)`` - record a
+      convicted point (the pump never fabricates :class:`TaskRecord`
+      objects - :meth:`RunCore.quarantine` owns the record shape);
+    * ``emit(event, **fields)`` - trace stream;
+    * ``count(name, n)`` - recovery-path counters;
+    * ``should_stop()`` - graceful-drain request;
+    * ``idle_wait()`` - block until new work may have arrived (the
+      daemon parks here between submissions); without one the pump
+      exits once the scheduler drains (one-shot runs).
     """
 
     def __init__(
@@ -456,27 +483,27 @@ class Pump:
         runtime: WorkerRuntime,
         absorb: Callable[[Chunk, List[TaskRecord], Optional[Dict[str, Any]]],
                          None],
-        quarantine: Callable[[Chunk, TaskPoint, str, str], None],
-        emit: Optional[Callable[..., None]] = None,
-        count: Optional[Callable[[str, int], None]] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
+        quarantine: Callable[[Chunk, TaskPoint, str, str, int], None],
+        emit: Callable[..., None],
+        count: Callable[[str, int], None],
+        should_stop: Callable[[], bool],
         idle_wait: Optional[Callable[[], None]] = None,
-        stop_when_idle: bool = True,
     ) -> None:
         self.scheduler = scheduler
         self.runtime = runtime
         self.absorb = absorb
         self.quarantine = quarantine
-        self.emit = emit if emit is not None else (lambda *a, **k: None)
-        self.count = count if count is not None else (lambda *a, **k: None)
-        self.should_stop = should_stop if should_stop is not None else (
-            lambda: False
-        )
+        self.emit = emit
+        self.count = count
+        self.should_stop = should_stop
         self.idle_wait = idle_wait
-        self.stop_when_idle = stop_when_idle
-        self.drained = False  #: True when a stop request cut the run short
 
     # -- recovery helpers --------------------------------------------------
+
+    def _quarantine(self, chunk: Chunk, point: TaskPoint, status: str,
+                    error: str) -> None:
+        attempts = self.scheduler.losses(point.key) + 1
+        self.quarantine(chunk, point, status, error, attempts)
 
     def _respawn(self, reason: str) -> None:
         count = self.scheduler.note_respawn()
@@ -504,7 +531,7 @@ class Pump:
         convicted = self.scheduler.convict_or_bisect(guilty)
         if convicted is not None:
             deadline = self.runtime.deadline_s
-            self.quarantine(
+            self._quarantine(
                 guilty, convicted, "timeout",
                 "parent-side chunk budget exceeded "
                 f"(deadline_s={deadline:g}); worker killed",
@@ -520,14 +547,14 @@ class Pump:
         losses = self.scheduler.losses(point.key)
         deadline = self.runtime.deadline_s
         if event.kind == "error" and event.error is None:  # hung past budget
-            self.quarantine(
+            self._quarantine(
                 chunk, point, "timeout",
                 "hung in isolation (parent-side budget, "
                 f"deadline_s={deadline:g}); worker killed",
             )
             self._respawn("isolated point hung (workers killed)")
             return
-        self.quarantine(
+        self._quarantine(
             chunk, point, "crashed",
             f"worker crashed with this point isolated ({losses} prior "
             f"losses; {type(event.error).__name__})",
@@ -542,7 +569,6 @@ class Pump:
         if self.should_stop():
             # Graceful drain: no new work, absorb what finishes (bounded).
             runtime.drain(self.absorb)
-            self.drained = True
             return False
 
         # Submission: keep the window full while work remains.
@@ -576,10 +602,9 @@ class Pump:
                 delay = scheduler.next_ready_in(time.monotonic())
                 time.sleep(min(0.5, delay if delay else 0.05))
                 return True
-            if self.stop_when_idle:
+            if self.idle_wait is None:
                 return False
-            if self.idle_wait is not None:
-                self.idle_wait()
+            self.idle_wait()
             return True
 
         events = runtime.poll(runtime.nearest_tick())
@@ -614,3 +639,153 @@ class Pump:
                 pass
         finally:
             self.runtime.shutdown()
+
+
+class _Locked:
+    """A scheduler view that holds ``lock`` around each access and call.
+
+    The pump thread reaches the scheduler only through this view, so it
+    never races the service threads that mutate the same queues under
+    the same lock - and never holds the lock across a runtime wait.
+    """
+
+    def __init__(self, target: Any, lock: Any) -> None:
+        self._target = target
+        self._lock = lock
+
+    def __getattr__(self, name: str) -> Any:
+        with self._lock:
+            attr = getattr(self._target, name)
+        if not callable(attr):
+            return attr
+
+        def locked(*args: Any, **kwargs: Any) -> Any:
+            with self._lock:
+                return attr(*args, **kwargs)
+        return locked
+
+
+class RunCore:
+    """The run core both drivers own (DESIGN.md Section 20).
+
+    Holds the execution policy (``jobs``, ``retries``, ``chunksize``,
+    ``deadline_s``, ``observe``, ``backoff``), the result cache, the trace
+    ``emit``, the recorder and the lock.  Everything a driver does not
+    own itself goes through four methods: :meth:`split` (duplicate-key
+    skip + cache lookup), :meth:`absorb` (the one checkpoint path),
+    :meth:`quarantine` (the one quarantine record) and :meth:`pump` (the
+    one dispatch loop).  ``deliver(chunk, records)`` is the driver's
+    fan-out hook, called by :meth:`absorb` with the lock held.
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        retries: int,
+        chunksize: Optional[int],
+        deadline_s: Optional[float],
+        observe: bool,
+        backoff: BackoffPolicy,
+        *,
+        cache: Optional[ResultCache],
+        emit: Callable[..., None],
+        recorder: obs.Recorder,
+        deliver: Callable[[Chunk, List[TaskRecord]], None],
+        lock: Any = None,
+    ) -> None:
+        self.jobs = jobs
+        self.retries = retries
+        self.chunksize = chunksize
+        self.deadline_s = deadline_s
+        self.observe = observe
+        self.backoff = backoff
+        self.cache = cache
+        self.emit = emit
+        self.recorder = recorder
+        self.deliver = deliver
+        self.lock = lock if lock is not None else threading.RLock()
+
+    def count(self, name: str, n: int = 1) -> None:
+        with self.lock:
+            self.recorder.count(name, n)
+
+    def split(self, tasks: Sequence[TaskPoint], fingerprint: str,
+              rerun_failures: bool = False,
+              ) -> Tuple[List[TaskRecord], List[TaskPoint]]:
+        """``(cache hits, pending points)`` over the unique task keys.
+
+        A duplicated grid point is looked up (and later executed) once.
+        A cached failure is a hit unless ``rerun_failures``.
+        """
+        hits: List[TaskRecord] = []
+        pending: List[TaskPoint] = []
+        seen = set()
+        for point in tasks:
+            if point.key in seen:
+                continue  # duplicated grid point: one execution serves all
+            seen.add(point.key)
+            record = (
+                self.cache.lookup(point.key, fingerprint)
+                if self.cache is not None else None
+            )
+            if record is not None and (record.ok or not rerun_failures):
+                hits.append(record)
+            else:
+                pending.append(point)
+        return hits, pending
+
+    def absorb(self, chunk: Chunk, records: List[TaskRecord],
+               snapshot: Optional[Dict[str, Any]]) -> None:
+        """Checkpoint one finished chunk, then hand it to the driver."""
+        if self.cache is not None:
+            self.cache.append(records)
+        for span in take_spans(snapshot):  # before merge: not a metric
+            self.emit("span", **span)
+        with self.lock:
+            if snapshot is not None:
+                self.recorder.merge(snapshot)
+            self.recorder.count(
+                "campaign.task.quarantined",
+                sum(1 for r in records if r.status == "crashed"),
+            )
+            self.recorder.count(
+                "campaign.task.timeouts",
+                sum(1 for r in records if r.status == "timeout"),
+            )
+            self.deliver(chunk, records)
+
+    def quarantine(self, chunk: Chunk, point: TaskPoint, status: str,
+                   error: str, attempts: int) -> None:
+        """Record a convicted point as ``status`` without a worker result."""
+        meta = chunk_env(chunk)
+        record = TaskRecord(
+            key=point.key, kind=point.kind, params=point.as_dict(),
+            fingerprint=meta.fingerprint, status=status, value=None,
+            error=error, elapsed=0.0, attempts=attempts,
+        )
+        self.absorb(Chunk((point,), chunk.tenant, meta), [record], None)
+        self.emit("quarantine", key=point.key, status=status)
+        if meta.trace:
+            # The worker died before it could report this span:
+            # synthesize it parent-side so the tree stays complete.
+            self.emit("span", **span_record(
+                TraceContext.from_dict(meta.trace).child(),
+                f"task.{point.kind}", time.time(), 0.0,
+                status=status, key=point.key,
+            ))
+
+    def pump(self, scheduler: Scheduler, should_stop: Callable[[], bool],
+             idle_wait: Optional[Callable[[], None]] = None) -> None:
+        """Drive ``scheduler`` through a fresh runtime until the pump exits.
+
+        Every scheduler call the pump makes holds :attr:`lock`; see
+        :class:`Pump` for ``should_stop`` and ``idle_wait``.
+        """
+        runtime = WorkerRuntime(
+            jobs=self.jobs, retries=self.retries, observe=self.observe,
+            deadline_s=self.deadline_s, backoff=self.backoff,
+        )
+        Pump(
+            _Locked(scheduler, self.lock), runtime, self.absorb,
+            self.quarantine, self.emit, self.count, should_stop, idle_wait,
+        ).run()

@@ -9,11 +9,13 @@ socket or a clock of its own.  Time is always passed in (``now``), so
 every policy is unit-testable as plain function calls.
 
 The other half of the split is :mod:`repro.campaign.runtime`: the
-:class:`~repro.campaign.runtime.WorkerRuntime` that actually owns the
-``ProcessPoolExecutor``, and the :class:`~repro.campaign.runtime.Pump`
-loop that marries the two.  One-shot CLI campaigns
-(:class:`repro.campaign.executor.Executor`) and the long-running
-``repro serve`` daemon (:mod:`repro.serve`) drive the *same* scheduler;
+:class:`~repro.campaign.runtime.WorkerRuntime` that actually runs chunks
+(inline or in a ``ProcessPoolExecutor``), the
+:class:`~repro.campaign.runtime.Pump` loop that marries the two, and the
+:class:`~repro.campaign.runtime.RunCore` around it.  One-shot CLI
+campaigns (:class:`repro.campaign.executor.Executor`) and the
+long-running ``repro serve`` daemon (:mod:`repro.serve`) drive the
+*same* scheduler through the same core;
 the daemon simply keeps feeding it chunks from many tenants instead of
 priming it once.
 

@@ -168,11 +168,18 @@ def _chaos_spec(args):
         raise SystemExit(f"--chaos: {error}")
 
 
+def _positive_seconds(args, name: str) -> Optional[float]:
+    """``args.<name>`` (a seconds flag, or None); exits unless positive."""
+    value = getattr(args, name, None)
+    if value is not None and value <= 0.0:
+        flag = "--" + name.replace("_", "-")
+        raise SystemExit(f"{flag} must be positive, got {value:g}")
+    return value
+
+
 def _campaign_kwargs(args) -> dict:
     """Executor keyword arguments from the campaign CLI flags."""
-    deadline = getattr(args, "deadline", None)
-    if deadline is not None and deadline <= 0.0:
-        raise SystemExit(f"--deadline must be positive, got {deadline:g}")
+    deadline = _positive_seconds(args, "deadline")
     return {
         "jobs": getattr(args, "jobs", 1),
         "cache_dir": _cache_dir(args),
@@ -597,12 +604,8 @@ def cmd_serve(args) -> int:
     from .serve.server import serve_forever
     from .serve.service import SweepService
 
-    deadline = getattr(args, "deadline", None)
-    if deadline is not None and deadline <= 0.0:
-        raise SystemExit(f"--deadline must be positive, got {deadline:g}")
-    lease_ttl = getattr(args, "lease_ttl", None)
-    if lease_ttl is not None and lease_ttl <= 0.0:
-        raise SystemExit(f"--lease-ttl must be positive, got {lease_ttl:g}")
+    deadline = _positive_seconds(args, "deadline")
+    lease_ttl = _positive_seconds(args, "lease_ttl")
     cache_dir = _cache_dir(args) or DEFAULT_CACHE_DIR
     kwargs = {} if lease_ttl is None else {"lease_ttl_s": lease_ttl}
     service = SweepService(
@@ -648,7 +651,7 @@ def cmd_submit(args) -> int:
     options = payload["options"]
     if args.fast:
         options["fast"] = True
-    if getattr(args, "full_grid", False):
+    if args.full_grid:
         options["full_grid"] = True
     if args.defects:
         options["defects"] = _parse_defects(args.defects, ())
@@ -741,6 +744,17 @@ def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
                         "live records for the current fingerprint")
 
 
+def _add_target_flags(p: argparse.ArgumentParser, target_help: str) -> None:
+    """The sweep target and grid options ``campaign`` and ``submit`` share."""
+    p.add_argument("target", choices=sorted(CAMPAIGN_TARGETS),
+                   help=target_help)
+    p.add_argument("--fast", action="store_true",
+                   help="minimal PVT grid / defect set")
+    p.add_argument("--full-grid", action="store_true",
+                   help="the paper's complete 45-condition PVT grid")
+    p.add_argument("--defects", help="comma-separated defect numbers")
+
+
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_positive_int, default=None,
                    help="sampled cell population (default 100, 16 with --fast)")
@@ -822,13 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run any sweep target through the campaign engine",
     )
-    camp.add_argument("target", choices=sorted(CAMPAIGN_TARGETS),
-                      help="which artifact sweep to run")
-    camp.add_argument("--fast", action="store_true",
-                      help="minimal PVT grid / defect set")
-    camp.add_argument("--full-grid", action="store_true",
-                      help="the paper's complete 45-condition PVT grid")
-    camp.add_argument("--defects", help="comma-separated defect numbers")
+    _add_target_flags(camp, "which artifact sweep to run")
     _add_campaign_flags(camp)
     _add_mc_flags(camp)
     camp.set_defaults(func=cmd_campaign)
@@ -988,18 +996,12 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a sweep to a running daemon and stream its progress",
     )
-    submit.add_argument("target", choices=sorted(CAMPAIGN_TARGETS),
-                        help="which artifact sweep to request")
+    _add_target_flags(submit, "which artifact sweep to request")
     submit.add_argument("--url",
                         default=f"http://127.0.0.1:{DEFAULT_SERVE_PORT}",
                         help="daemon base URL")
     submit.add_argument("--tenant", default="default",
                         help="tenant name for fair share and accounting")
-    submit.add_argument("--fast", action="store_true",
-                        help="minimal PVT grid / defect set")
-    submit.add_argument("--full-grid", action="store_true",
-                        help="the paper's complete PVT grid")
-    submit.add_argument("--defects", help="comma-separated defect numbers")
     submit.add_argument("--no-wait", action="store_true",
                         help="print the job id and return immediately")
     submit.add_argument("--verbose", action="store_true",

@@ -78,11 +78,9 @@ def build_report(
             "failures": summary.failures,
             "wall_time": summary.wall_time,
             "tasks_per_sec": summary.tasks_per_sec,
-            # Resilience accounting (getattr: duck-typed summaries from
-            # before these fields existed still build valid reports).
-            "quarantined": getattr(summary, "quarantined", 0),
-            "timeouts": getattr(summary, "timeouts", 0),
-            "interrupted": bool(getattr(summary, "interrupted", False)),
+            "quarantined": summary.quarantined,
+            "timeouts": summary.timeouts,
+            "interrupted": summary.interrupted,
         },
         "convergence": {
             "strategies": strategies,

@@ -9,12 +9,12 @@ content-addressed result cache:
   :class:`~repro.campaign.spec.SweepSpec`) and the job-state machine;
 * :mod:`repro.serve.state`  - the thread-safe :class:`JobStore` with
   per-job event logs and long-poll waits;
-* :mod:`repro.serve.service` - :class:`SweepService`, the pump that
-  drives the shared :class:`~repro.campaign.scheduler.Scheduler` and
-  :class:`~repro.campaign.runtime.WorkerRuntime`, dedupes identical
-  fingerprinted points across tenants (compute once, fan out to every
-  subscriber) and checkpoints everything through the advisory-locked
-  :class:`~repro.campaign.cache.ResultCache`;
+* :mod:`repro.serve.service` - :class:`SweepService`, which pumps the
+  shared :class:`~repro.campaign.scheduler.Scheduler` through the same
+  :class:`~repro.campaign.runtime.RunCore` as one-shot runs, dedupes
+  identical fingerprinted points across tenants (compute once, fan out
+  to every subscriber) and checkpoints everything through the
+  advisory-locked :class:`~repro.campaign.cache.ResultCache`;
 * :mod:`repro.serve.server` - the stdlib-asyncio HTTP/JSON front end
   (``repro serve``) with NDJSON long-poll event streaming and a
   SIGTERM drain that checkpoints in-flight jobs as resumable while

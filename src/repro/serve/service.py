@@ -11,21 +11,26 @@ HTTP so it is testable in-process:
   no matter how many tenants ask); the genuinely new remainder is
   chunked and fed to the shared :class:`~repro.campaign.scheduler.Scheduler`
   under the submitting tenant's fair-share queue.
-* **The pump thread** drains the scheduler - inline when ``jobs=1``
-  (bit-identical to the one-shot serial executor, and friendly to tests
-  that register task kinds in-process), through the
-  :class:`~repro.campaign.runtime.Pump` + ``WorkerRuntime`` pool
-  otherwise, inheriting all of PR 4's crash recovery and quarantine
-  machinery.
-* **Absorption** checkpoints records to the advisory-locked cache, then
-  fans each record out to every subscribed job, firing ``result`` and
-  ``progress`` events (the NDJSON deltas) and completing jobs whose
-  remaining set empties.
+* **The pump thread** drains the scheduler through the service's
+  :class:`~repro.campaign.runtime.RunCore` - the same dispatch loop, cache
+  split, checkpoint path and quarantine record as the one-shot
+  executor.  At ``jobs=1`` the core's runtime executes chunks inline
+  (bit-identical to the one-shot serial run, and friendly to tests that
+  register task kinds in-process); otherwise through a process pool with
+  crash recovery.  Every scheduler call the pump makes holds the service
+  lock.
+* **Absorption** checkpoints records to the advisory-locked cache (in
+  the core), then fans each record out to every subscribed job, firing
+  ``result`` and ``progress`` events (the NDJSON deltas) and completing
+  jobs whose remaining set empties.
 * **Drain** (SIGTERM) stops intake (:class:`ServiceDraining` -> 503 at
   the HTTP layer), lets the pump checkpoint in-flight work, then marks
   every unfinished job ``interrupted``/resumable - resubmitting the same
   spec after a restart replays finished points from the cache and only
   computes the abandoned tail.
+
+What stays in this module is what only the daemon has: jobs, tenants,
+subscriber dedupe, remote-worker leases and the durable job log.
 
 Accounting: one service-level :class:`~repro.obs.Recorder` collects
 ``serve.*`` counters (global and per tenant) plus merged worker solver
@@ -47,22 +52,21 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..campaign import (
+    CampaignSummary,
     Chunk,
     ChunkEnv,
-    Pump,
     ResultCache,
     Scheduler,
     SweepSpec,
     TaskRecord,
-    WorkerRuntime,
-    run_chunk,
 )
+from ..campaign.runtime import RunCore
 from ..campaign.scheduler import (
     BackoffPolicy,
     DEFAULT_LEASE_TTL_S,
     chunk_points,
 )
-from ..obs.context import TraceContext, span_record, take_spans
+from ..obs.context import TraceContext
 from ..obs.export import render_metrics
 from ..obs.report import build_report, write_report
 from ..obs.trace import (
@@ -97,32 +101,6 @@ class LeaseGone(KeyError):
     """Lease already expired/settled; late results are refused: HTTP 410."""
 
 
-class _ServeSummary:
-    """Duck-typed CampaignSummary aggregating all traffic the daemon saw."""
-
-    def __init__(self, recorder: obs.Recorder, wall_time: float,
-                 interrupted: bool) -> None:
-        counters = recorder.counters
-        self.name = "serve"
-        self.total = counters.get("serve.points.total", 0)
-        self.executed = counters.get("serve.points.executed", 0)
-        self.cache_hits = (
-            counters.get("serve.points.cache_hits", 0)
-            + counters.get("serve.points.deduped", 0)
-        )
-        self.failures = counters.get("serve.points.failed", 0)
-        self.wall_time = wall_time
-        self.quarantined = counters.get("campaign.task.quarantined", 0)
-        self.timeouts = counters.get("campaign.task.timeouts", 0)
-        self.interrupted = interrupted
-
-    @property
-    def tasks_per_sec(self) -> float:
-        if self.wall_time <= 0.0:
-            return 0.0
-        return self.executed / self.wall_time
-
-
 class SweepService:
     """See the module docstring; every public method is thread-safe."""
 
@@ -145,11 +123,6 @@ class SweepService:
                 f"jobs must be >= 0 (0 = remote workers only), got {jobs}"
             )
         self.jobs = jobs
-        self.retries = retries
-        self.chunksize = chunksize
-        self.deadline_s = deadline_s
-        self.observe = observe
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if obs_dir is not None:
             self.obs_dir: Optional[Path] = Path(obs_dir)
@@ -166,16 +139,17 @@ class SweepService:
         )
 
         self.store = JobStore()
+        self._lock = self.store.lock  # one lock tree: store + scheduler + obs
         self.recorder = obs.Recorder()
-        self.scheduler = Scheduler(backoff=self.backoff,
-                                   lease_ttl_s=lease_ttl_s)
+        backoff = backoff if backoff is not None else BackoffPolicy()
+        self.scheduler = Scheduler(backoff=backoff, lease_ttl_s=lease_ttl_s)
         self.scheduler.on_dispatch = self._on_dispatch
         for tenant, rate in (rate_limits or {}).items():
             self.scheduler.set_rate_limit(validate_tenant(tenant), rate)
 
         # The daemon-lifetime trace: job-submit roots + worker spans,
         # size-rotated so an always-on service never fills the disk.
-        if self.observe and self.obs_dir is not None:
+        if observe and self.obs_dir is not None:
             self.trace: Any = TraceWriter(
                 self.obs_dir / TRACE_FILENAME,
                 max_bytes=trace_max_bytes,
@@ -187,10 +161,14 @@ class SweepService:
             )
         else:
             self.trace = null_trace()
+        self.core = RunCore(
+            jobs, retries, chunksize, deadline_s, observe, backoff,
+            cache=self.cache, emit=self.trace.emit, recorder=self.recorder,
+            lock=self._lock, deliver=self._fan_out,
+        )
 
         #: (key, fingerprint) -> job ids subscribed to the in-flight point.
         self._subscribers: Dict[Tuple[str, str], List[str]] = {}
-        self._lock = self.store.lock  # one lock tree: store + scheduler + obs
         self._wake = threading.Event()
         self._draining = False
         self._started = time.monotonic()
@@ -234,7 +212,11 @@ class SweepService:
         self.recover_jobs()
         if self.jobs >= 1:
             self._pump_thread = threading.Thread(
-                target=self._pump, name="repro-serve-pump", daemon=True
+                target=self.core.pump, args=(
+                    self.scheduler,
+                    lambda: self._draining or self._stop,
+                    self._idle_wait,
+                ), name="repro-serve-pump", daemon=True,
             )
             self._pump_thread.start()
         self._reaper_thread = threading.Thread(
@@ -327,21 +309,13 @@ class SweepService:
             self._count("serve.jobs.submitted", tenant=tenant)
             if recovered:
                 self._count("serve.jobs.recovered", tenant=tenant)
+            hits, pending = self.core.split(spec.tasks, fingerprint)
+            job.total = len(hits) + len(pending)
+            job.cache_hits = len(hits)
+            for record in hits:
+                self._deliver(job, record, cached=True)
             fresh = []
-            seen = set()
-            for point in spec.tasks:
-                if point.key in seen:
-                    continue  # duplicate grid point inside one spec
-                seen.add(point.key)
-                job.total += 1
-                record = (
-                    self.cache.lookup(point.key, fingerprint)
-                    if self.cache is not None else None
-                )
-                if record is not None:
-                    job.cache_hits += 1
-                    self._deliver(job, record, cached=True)
-                    continue
+            for point in pending:
                 job.remaining.add(point.key)
                 slot = (point.key, fingerprint)
                 subscribers = self._subscribers.get(slot)
@@ -359,9 +333,9 @@ class SweepService:
                         tenant=tenant)
             env = ChunkEnv(
                 context=context, fingerprint=fingerprint,
-                trace=ctx.to_dict() if self.observe else None,
+                trace=ctx.to_dict() if self.core.observe else None,
             )
-            for points in chunk_points(fresh, self.jobs, self.chunksize):
+            for points in chunk_points(fresh, self.jobs, self.core.chunksize):
                 self.scheduler.add(Chunk.make(points, tenant, meta=env))
             self.store.emit(job, "submitted", **job.progress_fields())
             if recovered:
@@ -496,61 +470,32 @@ class SweepService:
         if self.obs_dir is not None:
             self.write_report()
 
-    def _absorb(self, chunk: Chunk, records: List[TaskRecord],
-                snapshot: Optional[Dict[str, Any]]) -> None:
-        """Checkpoint + fan out one finished chunk (pump thread)."""
-        if self.cache is not None:
-            self.cache.append(records)
-        for span in take_spans(snapshot):  # before merge: not a metric
-            self.trace.emit("span", **span)
-        with self._lock:
-            if snapshot is not None:
-                self.recorder.merge(snapshot)
-            fingerprint = chunk.meta.fingerprint
-            self._count("serve.points.executed", len(records),
-                        tenant=chunk.tenant)
-            failed = sum(0 if r.ok else 1 for r in records)
-            if failed:
-                self._count("serve.points.failed", failed,
-                            tenant=chunk.tenant)
-            touched: List[Job] = []
-            for record in records:
-                for job_id in self._subscribers.pop(
-                    (record.key, fingerprint), []
-                ):
-                    job = self.store.get(job_id)
-                    if job is None or job.state.terminal:
-                        continue
-                    job.executed += 1
-                    self._deliver(job, record)
-                    if job not in touched:
-                        touched.append(job)
-            for job in touched:
-                if job.remaining:
-                    self.store.emit(job, "progress", **job.progress_fields())
-                else:
-                    self._finish(job)
+    def _fan_out(self, chunk: Chunk, records: List[TaskRecord]) -> None:
+        """RunCore ``deliver`` hook: hand a checkpointed chunk to its jobs.
 
-    def _quarantine(self, chunk: Chunk, point, status: str,
-                    error: str) -> None:
-        record = TaskRecord(
-            key=point.key, kind=point.kind, params=point.as_dict(),
-            fingerprint=chunk.meta.fingerprint, status=status, value=None,
-            error=error, elapsed=0.0,
-            attempts=self.scheduler.losses(point.key) + 1,
-        )
-        self._count("campaign.task.quarantined"
-                    if status == "crashed" else "campaign.task.timeouts")
-        trace_ctx = getattr(chunk.meta, "trace", None)
-        if trace_ctx:
-            # The worker died before reporting this span: synthesize it
-            # parent-side so the job's trace tree stays well-formed.
-            self.trace.emit("span", **span_record(
-                TraceContext.from_dict(trace_ctx).child(),
-                f"task.{point.kind}", time.time(), 0.0,
-                status=status, key=point.key,
-            ))
-        self._absorb(Chunk((point,), chunk.tenant, chunk.meta), [record], None)
+        Called with the lock held, from the pump thread or a worker
+        completion.
+        """
+        fingerprint = chunk.meta.fingerprint
+        self._count("serve.points.executed", len(records), tenant=chunk.tenant)
+        failed = sum(0 if r.ok else 1 for r in records)
+        if failed:
+            self._count("serve.points.failed", failed, tenant=chunk.tenant)
+        touched: List[Job] = []
+        for record in records:
+            for job_id in self._subscribers.pop((record.key, fingerprint), []):
+                job = self.store.get(job_id)
+                if job is None or job.state.terminal:
+                    continue
+                job.executed += 1
+                self._deliver(job, record)
+                if job not in touched:
+                    touched.append(job)
+        for job in touched:
+            if job.remaining:
+                self.store.emit(job, "progress", **job.progress_fields())
+            else:
+                self._finish(job)
 
     # -- remote workers ----------------------------------------------------
 
@@ -579,9 +524,9 @@ class SweepService:
             "worker_id": info.id,
             "lease_ttl_s": ttl,
             "heartbeat_s": ttl / HEARTBEAT_FRACTION,
-            "retries": self.retries,
-            "observe": self.observe,
-            "deadline_s": self.deadline_s,
+            "retries": self.core.retries,
+            "observe": self.core.observe,
+            "deadline_s": self.core.deadline_s,
         }
 
     def worker_lease(self, worker_id: str) -> Dict[str, Any]:
@@ -695,7 +640,7 @@ class SweepService:
             chunk.tenant, meta=chunk.meta,
         )
         if keep:
-            self._absorb(done, keep, snapshot)
+            self.core.absorb(done, keep, snapshot)
         if missing:
             self._wake.set()
         return {"absorbed": len(keep), "requeued": len(missing)}
@@ -759,67 +704,21 @@ class SweepService:
                     if suspect is None:
                         break
                     point = suspect.points[0]
-                    self._quarantine(
+                    losses = self.scheduler.losses(point.key)
+                    self.core.quarantine(
                         suspect, point, "crashed",
-                        f"convicted: lease lost "
-                        f"{self.scheduler.losses(point.key)} times "
+                        f"convicted: lease lost {losses} times "
                         f"(remote worker presumed dead)",
+                        attempts=losses + 1,
                     )
         if expired:
             self._wake.set()
 
     # -- the pump ----------------------------------------------------------
 
-    def _pump(self) -> None:
-        if self.jobs == 1:
-            self._pump_inline()
-        else:
-            self._pump_pool()
-
     def _idle_wait(self) -> None:
         self._wake.wait(timeout=0.2)
         self._wake.clear()
-
-    def _pump_inline(self) -> None:
-        """jobs=1: execute chunks in the daemon process, one at a time.
-
-        Mirrors the one-shot serial path (same ``run_chunk``, so values
-        are bit-identical) and keeps test-registered task kinds visible -
-        there is no pickling boundary.
-        """
-        while not self._stop:
-            if self._draining:
-                # Queued work stays queued: whatever already ran was
-                # checkpointed chunk by chunk, and drain() marks the
-                # owners interrupted/resumable.
-                return
-            with self._lock:
-                chunk = self.scheduler.next_chunk(time.monotonic())
-            if chunk is None:
-                if self.scheduler.has_pending:  # rate-limited, not idle
-                    time.sleep(0.02)
-                else:
-                    self._idle_wait()
-                continue
-            records, snapshot = run_chunk(
-                chunk.points, chunk.meta.context, chunk.meta.fingerprint,
-                self.retries, self.observe, self.deadline_s, self.backoff,
-                None, chunk.meta.trace,
-            )
-            self._absorb(chunk, records, snapshot)
-
-    def _pump_pool(self) -> None:
-        runtime = WorkerRuntime(
-            jobs=self.jobs, retries=self.retries, observe=self.observe,
-            deadline_s=self.deadline_s, backoff=self.backoff,
-        )
-        Pump(
-            self.scheduler, runtime, self._absorb, self._quarantine,
-            count=lambda name, n: self._count(name, n),
-            should_stop=lambda: self._draining or self._stop,
-            idle_wait=self._idle_wait,
-            stop_when_idle=False,
-        ).run()
 
     # -- introspection / reporting -----------------------------------------
 
@@ -940,8 +839,18 @@ class SweepService:
         if self.obs_dir is None:
             return None
         with self._lock:
-            summary = _ServeSummary(
-                self.recorder, time.monotonic() - self._started, interrupted
+            counters = self.recorder.counters
+            summary = CampaignSummary(
+                name="serve",
+                total=counters.get("serve.points.total", 0),
+                executed=counters.get("serve.points.executed", 0),
+                cache_hits=(counters.get("serve.points.cache_hits", 0)
+                            + counters.get("serve.points.deduped", 0)),
+                failures=counters.get("serve.points.failed", 0),
+                wall_time=time.monotonic() - self._started,
+                quarantined=counters.get("campaign.task.quarantined", 0),
+                timeouts=counters.get("campaign.task.timeouts", 0),
+                interrupted=interrupted,
             )
             report = build_report(summary, self.recorder, [], "serve")
         return write_report(report, self.obs_dir)

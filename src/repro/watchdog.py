@@ -11,7 +11,7 @@ which the executor downgrades to a ``status="timeout"`` task record.
 
 The parent-side half - a per-chunk wall-clock budget that kills workers
 hung in code the watchdog cannot see - lives in
-:mod:`repro.campaign.executor`.
+:mod:`repro.campaign.runtime` (``WorkerRuntime.chunk_budget``).
 
 Like :mod:`repro.obs`, the installation is process-local and the disabled
 fast path is one ``None`` check per call, so instrumented loops pay

@@ -254,6 +254,14 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="deadline"):
             main(["mc", "--samples", "4", "--deadline", "0"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--deadline", "0"], "--deadline must be positive"),
+        (["serve", "--lease-ttl", "-1"], "--lease-ttl must be positive"),
+    ])
+    def test_serve_nonpositive_seconds_rejected(self, argv, flag):
+        with pytest.raises(SystemExit, match=flag):
+            main(argv)
+
     def test_deadline_flag_accepted_on_clean_run(self, capsys):
         argv = ["mc", "--samples", "4", "--shards", "2", "--deadline", "300"]
         assert main(argv) == 0

@@ -17,11 +17,12 @@ minimum is set by the symmetric majority.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.drv import drv_ds0, drv_ds1
+from ..cell.drv import drv_ds0, drv_ds1, drv_lanes, worst_over_grid
 from ..devices.pvt import PVT, corner_temp_grid
 from ..devices.variation import CellVariation
 from ..core.reporting import drv_cell, render_table
@@ -59,12 +60,13 @@ class CaseStudy:
     ) -> Tuple[float, PVT]:
         """Maximum degraded-state DRV over the (corner, temp) grid."""
         grid = list(pvt_grid) if pvt_grid is not None else corner_temp_grid()
-        best, best_pvt = -1.0, grid[0]
-        for pvt in grid:
-            value = self.drv_affected(pvt.corner, pvt.temp_c, cell)
-            if value > best:
-                best, best_pvt = value, pvt
-        return best, best_pvt
+        rows = [(self.variation, pvt.corner, pvt.temp_c) for pvt in grid]
+        return worst_over_grid(drv_lanes(rows, self.lobe, cell), grid)
+
+    @property
+    def lobe(self) -> int:
+        """Kernel lobe of the degraded state (0 -> DRV_DS1, 1 -> DRV_DS0)."""
+        return 1 - self.degrades
 
 
 def _cs(name: str, n_cells: int, degrades: int, **sigmas) -> CaseStudy:
@@ -93,16 +95,6 @@ def case_study(name: str) -> CaseStudy:
     raise KeyError(f"unknown case study {name!r}")
 
 
-@lru_cache(maxsize=64)
-def symmetric_floor(
-    cell: CellDesign = DEFAULT_CELL,
-    corner: str = "typical",
-    temp_c: float = 25.0,
-) -> float:
-    """Array DRV of the unaffected state (the symmetric-cell ~60 mV floor)."""
-    return drv_ds1(CellVariation.symmetric(), corner, temp_c, cell)
-
-
 @dataclass(frozen=True)
 class Table1Row:
     """Rendered Table I line: case study + the three DRV columns (volts)."""
@@ -118,17 +110,24 @@ def table1_rows(
     pvt_grid: Optional[Sequence[PVT]] = None,
     cell: CellDesign = DEFAULT_CELL,
 ) -> List[Table1Row]:
-    """Compute all Table I rows (max DRV over the PVT grid)."""
-    rows = []
-    for cs in CASE_STUDIES:
-        worst, pvt = cs.worst_drv(pvt_grid, cell)
-        floor = symmetric_floor(cell, pvt.corner, pvt.temp_c)
+    """All Table I rows (max DRV over the PVT grid), plus the symmetric
+    floor at every grid point, from one kernel call."""
+    grid = list(pvt_grid) if pvt_grid is not None else corner_temp_grid()
+    cases = [(cs.variation, cs.lobe) for cs in CASE_STUDIES]
+    cases.append((CellVariation.symmetric(), 0))
+    rows = [(variation, pvt.corner, pvt.temp_c) for variation, _ in cases for pvt in grid]
+    lobes = np.repeat([lobe for _, lobe in cases], len(grid))
+    *worst_drvs, floors = drv_lanes(rows, lobes, cell).reshape(len(cases), len(grid))
+    table = []
+    for cs, drvs in zip(CASE_STUDIES, worst_drvs):
+        worst, pvt = worst_over_grid(drvs, grid)
+        floor = float(floors[grid.index(pvt)])
         if cs.degrades == 1:
             drv1, drv0 = worst, floor
         else:
             drv1, drv0 = floor, worst
-        rows.append(Table1Row(cs, drv0, drv1, max(drv0, drv1), pvt))
-    return rows
+        table.append(Table1Row(cs, drv0, drv1, max(drv0, drv1), pvt))
+    return table
 
 
 def render_table1(rows: Sequence[Table1Row]) -> str:

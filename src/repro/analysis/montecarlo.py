@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.drv import drv_ds
+from ..cell.drv import drv_ds_cells
 from ..devices.variation import CellVariation
 from ..campaign import CampaignResult, SweepSpec, TaskPoint, run_campaign
 
@@ -78,11 +78,8 @@ def drv_distribution(
 ) -> MonteCarloResult:
     """Sample ``n_samples`` cells and compute each cell's DRV_DS."""
     rng = np.random.default_rng(seed)
-    samples = np.array([
-        drv_ds(CellVariation.sample(rng), corner, temp_c, cell)
-        for _ in range(n_samples)
-    ])
-    return MonteCarloResult(corner, temp_c, samples)
+    variations = [CellVariation.sample(rng) for _ in range(n_samples)]
+    return MonteCarloResult(corner, temp_c, drv_ds_cells(variations, corner, temp_c, cell))
 
 
 def _shard_sizes(n_samples: int, shards: int) -> List[int]:

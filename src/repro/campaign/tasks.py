@@ -128,23 +128,19 @@ def detection_entry(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str
 @task("figure4-point")
 def figure4_point(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str, Any]:
     """Worst-over-grid DRV_DS1/DRV_DS0 for one (transistor, sigma) sample."""
-    from ..cell.drv import drv_ds_pair
+    from ..cell.drv import drv_ds_pair, worst_over_grid
     from ..devices.pvt import PVT
     from ..devices.variation import CellVariation
 
     _design, cell = _design_and_cell(context)
     variation = CellVariation.single(params["transistor"], params["sigma"])
     grid = [PVT(c, v, t) for (c, v, t) in params["grid"]]
-    # Both lobes come from one lock-step bisection per grid point (the pair
-    # search shares the SNM session and batches the midpoint evaluations).
-    best = {"ds1": (-1.0, grid[0]), "ds0": (-1.0, grid[0])}
-    for pvt in grid:
-        pair = drv_ds_pair(variation, pvt.corner, pvt.temp_c, cell)
-        for label, value in (("ds1", pair[0]), ("ds0", pair[1])):
-            if value > best[label][0]:
-                best[label] = (value, pvt)
+    # One drv_ds_pair per grid point, not one kernel call for the grid: the
+    # benchmark's drv-tiny workload requires that wrapper to fire.
+    pairs = [drv_ds_pair(variation, pvt.corner, pvt.temp_c, cell) for pvt in grid]
     out: Dict[str, Any] = {}
-    for label, (value, best_pvt) in best.items():
+    for lobe, label in enumerate(("ds1", "ds0")):
+        value, best_pvt = worst_over_grid([pair[lobe] for pair in pairs], grid)
         out[f"drv_{label}"] = value
         out[f"pvt_{label}"] = [best_pvt.corner, best_pvt.vdd, best_pvt.temp_c]
     return out
@@ -214,13 +210,11 @@ def mc_shard(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str, Any]:
     """
     import numpy as np
 
-    from ..cell.drv import drv_ds
+    from ..cell.drv import drv_ds_cells
     from ..devices.variation import CellVariation
 
     _design, cell = _design_and_cell(context)
     rng = np.random.default_rng([params["seed"], params["shard"]])
-    samples = [
-        drv_ds(CellVariation.sample(rng), params["corner"], params["temp_c"], cell)
-        for _ in range(params["n_samples"])
-    ]
-    return {"samples": samples}
+    variations = [CellVariation.sample(rng) for _ in range(params["n_samples"])]
+    samples = drv_ds_cells(variations, params["corner"], params["temp_c"], cell)
+    return {"samples": samples.tolist()}

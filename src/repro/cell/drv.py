@@ -7,12 +7,12 @@ of a cell is the larger of the two; the DRV_DS of a whole array is set by
 its least stable cell.
 
 Each DRV is found by bisection on the supply voltage of the signed SNM from
-:mod:`repro.cell.snm`.
+:mod:`repro.cell.snm`; every search runs in the lock-step kernel :func:`drv_lanes`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .. import obs
 from ..devices.pvt import PVT, corner_temp_grid
 from ..devices.variation import CELL_TRANSISTORS, CellVariation
 from .design import DEFAULT_CELL, CellDesign
-from .snm import SnmSession
+from .snm import Row, SnmSession
 
 #: Search window for the DRV bisection, in volts.  The lower bound is the
 #: floor reported for cells whose eye never closes above it (the paper's
@@ -31,38 +31,54 @@ DRV_SEARCH_HI = 1.2
 _BISECTION_STEPS = 16
 
 
-def _drv_lane(session: SnmSession, which: int) -> float:
-    """Bisection on supply for SNM[which] = 0 (which: 0 -> SNM1, 1 -> SNM0)."""
-    obs.count("drv.solves")
-    lo, hi = DRV_SEARCH_LO, DRV_SEARCH_HI
-    snm_lo = session.snm(lo)[which]
-    if snm_lo > 0.0:
-        obs.count("drv.floor_exits")
-        obs.observe("drv.bisection_steps", 0)
-        return lo  # stable all the way down to the search floor
-    snm_hi = session.snm(hi)[which]
-    if snm_hi < 0.0:
-        obs.count("drv.ceiling_exits")
-        obs.observe("drv.bisection_steps", 0)
-        return hi  # cannot hold this state even at full supply
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if session.snm(mid)[which] > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    obs.observe("drv.bisection_steps", _BISECTION_STEPS)
-    return 0.5 * (lo + hi)
+def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np.ndarray:
+    """DRV of every lane, all lanes bisecting in lock-step.
 
-
-def _drv_single(
-    variation: CellVariation,
-    which: int,
-    corner: str,
-    temp_c: float,
-    cell: CellDesign,
-) -> float:
-    return _drv_lane(SnmSession(variation, corner, temp_c, cell), which)
+    Lane ``i`` is the cell ``rows[i] = (variation, corner, temp_c)`` and the
+    lobe ``which[i]`` (0 -> DRV_DS1, 1 -> DRV_DS0; a scalar applies to every
+    lane).  Equal cells share a session row and equal lanes one search; each
+    bisection step is one :meth:`~repro.cell.snm.SnmSession.snm_batch` call.
+    Each lane's value is bit for bit that of a bisection of that lane alone.
+    """
+    keys = [(variation, corner, float(temp_c)) for variation, corner, temp_c in rows]
+    if not keys:
+        return np.empty(0)
+    lobes = np.broadcast_to(np.asarray(which, dtype=int), (len(keys),))
+    cells: dict = {}
+    searches: dict = {}
+    lane = np.array([
+        searches.setdefault((cells.setdefault(key, len(cells)), int(lobe)), len(searches))
+        for key, lobe in zip(keys, lobes)
+    ])
+    row, lobe = np.array(list(searches)).T
+    session = SnmSession(list(cells), cell)
+    result = np.empty(len(searches))
+    # Stable all the way down to the search floor.
+    floor = session.snm(DRV_SEARCH_LO)[row, lobe] > 0.0
+    ceiling = np.zeros_like(floor)
+    if not floor.all():  # cannot hold the state even at full supply
+        ceiling = ~floor & (session.snm(DRV_SEARCH_HI)[row, lobe] < 0.0)
+    active = ~(floor | ceiling)
+    result[floor] = DRV_SEARCH_LO
+    result[ceiling] = DRV_SEARCH_HI
+    if active.any():
+        row_on, lobe_on = row[active], lobe[active]
+        pick = np.arange(len(row_on))
+        lo = np.full(len(row_on), DRV_SEARCH_LO)
+        hi = np.full(len(row_on), DRV_SEARCH_HI)
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            stable = session.snm_batch(mid, row_on)[pick, lobe_on] > 0.0
+            hi = np.where(stable, mid, hi)
+            lo = np.where(stable, lo, mid)
+        result[active] = 0.5 * (lo + hi)
+    obs.count("drv.solves", len(keys))
+    for name, exits in (("drv.floor_exits", floor[lane]), ("drv.ceiling_exits", ceiling[lane])):
+        if exits.any():
+            obs.count(name, int(exits.sum()))
+    for bisected in active[lane]:
+        obs.observe("drv.bisection_steps", _BISECTION_STEPS if bisected else 0)
+    return result[lane]
 
 
 def drv_ds_pair(
@@ -71,48 +87,9 @@ def drv_ds_pair(
     temp_c: float = 25.0,
     cell: CellDesign = DEFAULT_CELL,
 ) -> Tuple[float, float]:
-    """(DRV_DS1, DRV_DS0) of the cell with both lobe searches in lock-step.
-
-    One :class:`~repro.cell.snm.SnmSession` serves both searches, the two
-    endpoint SNM evaluations are shared, and every bisection step evaluates
-    both lanes' midpoints through one batched VTC solve - roughly halving
-    the cost of calling :func:`drv_ds1` and :func:`drv_ds0` separately while
-    returning bit-identical values.
-    """
-    session = SnmSession(variation, corner, temp_c, cell)
-    obs.count("drv.solves", 2)
-    result = np.empty(2)
-    lo = np.full(2, DRV_SEARCH_LO)
-    hi = np.full(2, DRV_SEARCH_HI)
-    done = np.zeros(2, dtype=bool)
-    s_lo = session.snm(DRV_SEARCH_LO)
-    for k in (0, 1):
-        if s_lo[k] > 0.0:  # stable all the way down to the search floor
-            obs.count("drv.floor_exits")
-            obs.observe("drv.bisection_steps", 0)
-            result[k] = DRV_SEARCH_LO
-            done[k] = True
-    if not done.all():
-        s_hi = session.snm(DRV_SEARCH_HI)
-        for k in (0, 1):
-            if not done[k] and s_hi[k] < 0.0:  # lost even at full supply
-                obs.count("drv.ceiling_exits")
-                obs.observe("drv.bisection_steps", 0)
-                result[k] = DRV_SEARCH_HI
-                done[k] = True
-    active = ~done
-    if active.any():
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            vals = session.snm_batch(mid)
-            stable = np.array([vals[0, 0], vals[1, 1]]) > 0.0
-            hi = np.where(active & stable, mid, hi)
-            lo = np.where(active & ~stable, mid, lo)
-        for k in (0, 1):
-            if active[k]:
-                obs.observe("drv.bisection_steps", _BISECTION_STEPS)
-                result[k] = 0.5 * (lo[k] + hi[k])
-    return float(result[0]), float(result[1])
+    """(DRV_DS1, DRV_DS0) of the cell: both lobes as two lanes of one session row."""
+    drv1, drv0 = drv_lanes([(variation, corner, temp_c)] * 2, (0, 1), cell)
+    return float(drv1), float(drv0)
 
 
 def drv_ds1(
@@ -122,7 +99,7 @@ def drv_ds1(
     cell: CellDesign = DEFAULT_CELL,
 ) -> float:
     """Lowest supply still retaining logic '1' in this cell (volts)."""
-    return _drv_single(variation, 0, corner, temp_c, cell)
+    return float(drv_lanes([(variation, corner, temp_c)], 0, cell)[0])
 
 
 def drv_ds0(
@@ -132,7 +109,7 @@ def drv_ds0(
     cell: CellDesign = DEFAULT_CELL,
 ) -> float:
     """Lowest supply still retaining logic '0' in this cell (volts)."""
-    return _drv_single(variation, 1, corner, temp_c, cell)
+    return float(drv_lanes([(variation, corner, temp_c)], 1, cell)[0])
 
 
 def drv_ds(
@@ -142,7 +119,30 @@ def drv_ds(
     cell: CellDesign = DEFAULT_CELL,
 ) -> float:
     """DRV_DS = max(DRV_DS1, DRV_DS0) of the cell."""
-    return max(drv_ds_pair(variation, corner, temp_c, cell))
+    return float(drv_ds_cells([variation], corner, temp_c, cell)[0])
+
+
+def drv_ds_cells(
+    variations: Sequence[CellVariation],
+    corner: str = "typical",
+    temp_c: float = 25.0,
+    cell: CellDesign = DEFAULT_CELL,
+) -> np.ndarray:
+    """DRV_DS of each cell at one PVT: all ``2n`` lobe searches in one kernel call."""
+    rows = [(variation, corner, temp_c) for variation in variations]
+    drv1, drv0 = drv_lanes(rows * 2, np.repeat([0, 1], len(rows)), cell).reshape(2, -1)
+    return np.maximum(drv1, drv0)
+
+
+def worst_over_grid(values, grid: Sequence[PVT]) -> Tuple[float, PVT]:
+    """Largest of ``values`` (one per grid PVT) and its PVT; ties go to the first.
+
+    Raises ``ValueError`` on an empty grid.
+    """
+    if len(grid) == 0:
+        raise ValueError("worst-case DRV over an empty PVT grid")
+    k = int(np.argmax(values))
+    return float(values[k]), grid[k]
 
 
 #: Process-local memo for :func:`drv_ds_pair` keyed on the full solve inputs.
@@ -207,13 +207,13 @@ def drv_ds_pair_map(
     ``sigmas`` is an ``(n, 6)`` matrix of per-cell Vth sigma multipliers in
     :data:`~repro.devices.variation.CELL_TRANSISTORS` order (a flattened
     macro variation map).  A full per-cell solve would cost ``n`` bisection
-    pairs at ~0.4 s each - prohibitive for 10^6-cell macros.  Instead the
+    pairs (~0.1 s each) - prohibitive for 10^6-cell macros.  Instead the
     cells are sorted by :func:`skew_scores` (the dominant axis of DRV
     variation), split into ``buckets`` equal-population quantile runs, and
     each run inherits the exact :func:`drv_ds_pair` of its median-score
-    representative cell.  A million cells therefore cost ``buckets``
-    compiled-backend solves, shared further across calls by the
-    :func:`drv_ds_pair_cached` memo.
+    representative cell.  A million cells therefore cost ``buckets`` pair
+    solves, shared further across calls by the :func:`drv_ds_pair_cached`
+    memo.
 
     Returns two ``(n,)`` float arrays.  Deterministic: the stable argsort
     and median-of-run representative depend only on ``sigmas``.
@@ -254,17 +254,12 @@ def worst_case_drv(
     This mirrors the paper's Fig. 4 / Table I procedure of reporting the
     corner-temperature combination that maximises the DRV.
     """
-    functions = {"ds1": drv_ds1, "ds0": drv_ds0, "ds": drv_ds}
+    selectors = {"ds1": (0,), "ds0": (1,), "ds": (0, 1)}
     try:
-        func = functions[which]
+        lobes = selectors[which]
     except KeyError:
-        raise ValueError(f"which must be one of {sorted(functions)}") from None
+        raise ValueError(f"which must be one of {sorted(selectors)}") from None
     grid = list(pvt_grid) if pvt_grid is not None else corner_temp_grid()
-    best_value = -1.0
-    best_pvt = grid[0]
-    for pvt in grid:
-        value = func(variation, pvt.corner, pvt.temp_c, cell)
-        if value > best_value:
-            best_value = value
-            best_pvt = pvt
-    return best_value, best_pvt
+    rows = [(variation, pvt.corner, pvt.temp_c) for pvt in grid]
+    drvs = drv_lanes(rows * len(lobes), np.repeat(lobes, len(rows)), cell)
+    return worst_over_grid(drvs.reshape(len(lobes), -1).max(axis=0), grid)

@@ -20,7 +20,7 @@ segments because both coordinates are linear along a straight segment.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .. import obs
 from ..devices.mosfet import MosfetModel
 from ..devices.variation import CellVariation
 from .design import DEFAULT_CELL, CellDesign
-from .vtc import vtc_pair
+from .vtc import inverter_vtc, vtc_pair
 
 #: Input-grid resolution for the VTCs.
 _GRID_POINTS = 256
@@ -36,70 +36,75 @@ _GRID_POINTS = 256
 #: Diagonal-coordinate resolution for the separation search.
 _DIAG_POINTS = 320
 
+#: Rows per stacked VTC solve.  Rows never mix, so blocking changes no
+#: result; past ~32 rows (64 VTC rows, 128 KiB per (64, 256) array) a step's
+#: working set outgrows a 2 MiB L2 and the cost per row rose ~40% on a
+#: 2-vCPU Xeon.
+_BLOCK_ROWS = 32
+
+#: (pull-up, pull-down, pass gate) of the inverter driving S, then SB.
+_INVERTERS = (("mpcc1", "mncc1", "mncc3"), ("mpcc2", "mncc2", "mncc4"))
+
+#: One session row: a cell variation at a (corner, temperature).
+Row = Tuple[CellVariation, str, float]
+
 
 class SnmSession:
-    """Cached-model SNM evaluator for repeated supply sweeps.
+    """SNM evaluator over ``R`` rows of (variation, corner, temperature).
 
-    Builds the six varied device models once and reuses them at every supply
-    point - a DRV bisection evaluates the SNM at ~18 supplies per lobe, and
-    rebuilding the models dominated the per-evaluation overhead.
-    :meth:`snm_batch` additionally folds several supplies into **one**
-    vectorised VTC bisection (the two DRV lobes' searches run in lock-step
-    through it); per-row results are bit-identical to scalar :meth:`snm`
-    calls because every VTC step is elementwise and ``np.linspace`` with an
-    array endpoint matches its scalar output exactly.
+    Builds each row's six device models once.  Every evaluation of ``k``
+    rows is **one** :func:`inverter_vtc` call on ``(2k, G)`` inputs: the
+    S-driving inverters stacked over the SB-driving ones, device parameters
+    as ``(2k, 1)`` columns (:meth:`MosfetModel.stack`).  Each row's result
+    is bit-identical to a 1-row session's: every VTC step is elementwise,
+    rows never mix, and ``np.linspace`` with an array endpoint matches its
+    scalar output.
     """
 
     def __init__(
         self,
-        variation: CellVariation,
-        corner: str = "typical",
-        temp_c: float = 25.0,
+        rows: Sequence[Row],
         cell: CellDesign = DEFAULT_CELL,
         points: int = _GRID_POINTS,
     ) -> None:
-        self.variation = variation
-        self.corner = corner
-        self.temp_c = temp_c
+        self.rows = [(variation, corner, float(temp)) for variation, corner, temp in rows]
         self.cell = cell
         self.points = points
-        self.models = cell.models(variation, corner, temp_c)
+        self._models = [cell.models(*row) for row in self.rows]
 
-    def curves(self, vdd_cell: float) -> Dict[str, np.ndarray]:
-        """Sampled butterfly curves at one supply (see :func:`butterfly_curves`)."""
-        grid = np.linspace(0.0, vdd_cell, self.points)
-        s_of_sb, sb_of_s = vtc_pair(grid, vdd_cell, self.models)
-        return {
-            "s_a": grid,
-            "sb_a": sb_of_s,
-            "s_b": s_of_sb,
-            "sb_b": grid,
-        }
+    def _separations(self, vdds: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+        """``(len(rows), 2)`` (SNM_DS1, SNM_DS0) of ``rows[i]`` at ``vdds[i]``."""
+        out = np.empty((len(rows), 2))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            k = len(block)
+            vdd = vdds[start:start + k]
+            grid = np.linspace(0.0, vdd, self.points, axis=-1)
+            devices = [
+                MosfetModel.stack([
+                    self._models[r][inv[role]] for inv in _INVERTERS for r in block
+                ])
+                for role in range(3)
+            ]
+            vtcs = inverter_vtc(np.tile(grid, (2, 1)), np.tile(vdd, 2)[:, None], *devices)
+            for i in range(k):
+                out[start + i] = _lobe_separations(grid[i], vtcs[i], vtcs[k + i])
+        return out
 
-    def snm(self, vdd_cell: float) -> Tuple[float, float]:
-        """(SNM_DS1, SNM_DS0) at one supply (see :func:`snm_ds`)."""
-        obs.count("snm.evaluations")
-        return _lobe_separations(self.curves(vdd_cell))
+    def snm(self, vdd_cell: float) -> np.ndarray:
+        """``(R, 2)`` array of every row's (SNM_DS1, SNM_DS0) at one supply."""
+        obs.count("snm.evaluations", len(self.rows))
+        return self._separations(np.full(len(self.rows), float(vdd_cell)), range(len(self.rows)))
 
-    def snm_batch(self, vdds) -> np.ndarray:
-        """``(V, 2)`` array of (SNM_DS1, SNM_DS0) for ``V`` supplies at once.
+    def snm_batch(self, vdds, rows: Sequence[int]) -> np.ndarray:
+        """``(k, 2)`` array of (SNM_DS1, SNM_DS0): row ``rows[i]`` at ``vdds[i]``.
 
-        All supplies share one vectorised VTC bisection, so the cost is close
-        to a single :meth:`snm` call for small batches.
+        ``rows`` holds session-row indices and may repeat one (two lobes of
+        one cell bisecting at different supplies).
         """
         vdds = np.atleast_1d(np.asarray(vdds, dtype=float))
         obs.count("snm.evaluations", vdds.size)
-        grid = np.linspace(0.0, vdds, self.points, axis=-1)
-        s_of_sb, sb_of_s = vtc_pair(grid, vdds[:, None], self.models)
-        out = np.empty((vdds.size, 2))
-        for v in range(vdds.size):
-            out[v] = _lobe_separations({
-                "s_a": grid[v],
-                "sb_a": sb_of_s[v],
-                "s_b": s_of_sb[v],
-                "sb_b": grid[v],
-            })
-        return out
+        return self._separations(vdds, rows)
 
 
 def butterfly_curves(
@@ -116,18 +121,22 @@ def butterfly_curves(
     inverter 2 as a function of S) and ``s_b``/``sb_b`` (curve B: S driven by
     inverter 1 as a function of SB) - ready for plotting or SNM extraction.
     """
-    return SnmSession(variation, corner, temp_c, cell, points).curves(vdd_cell)
+    grid = np.linspace(0.0, vdd_cell, points)
+    s_of_sb, sb_of_s = vtc_pair(grid, vdd_cell, cell.models(variation, corner, temp_c))
+    return {"s_a": grid, "sb_a": sb_of_s, "s_b": s_of_sb, "sb_b": grid}
 
 
-def _lobe_separations(curves: Dict[str, np.ndarray]) -> Tuple[float, float]:
+def _lobe_separations(
+    grid: np.ndarray, s_of_sb: np.ndarray, sb_of_s: np.ndarray
+) -> Tuple[float, float]:
     """Return (snm1, snm0): max anti-diagonal separation per lobe, halved."""
     # Curve A: (s, g(s)) - diagonal coordinate increases with s.
-    c_a = curves["s_a"] - curves["sb_a"]
-    v_a = curves["s_a"] + curves["sb_a"]
+    c_a = grid - sb_of_s
+    v_a = grid + sb_of_s
     # Curve B: (f(sb), sb) - diagonal coordinate decreases with sb; reverse
     # so np.interp sees increasing x.
-    c_b = (curves["s_b"] - curves["sb_b"])[::-1]
-    v_b = (curves["s_b"] + curves["sb_b"])[::-1]
+    c_b = (s_of_sb - grid)[::-1]
+    v_b = (s_of_sb + grid)[::-1]
 
     c_min = max(float(c_a[0]), float(c_b[0]))
     c_max = min(float(c_a[-1]), float(c_b[-1]))
@@ -161,14 +170,6 @@ def snm_ds(
     same (variation, corner, temperature) should go through a
     :class:`SnmSession` instead, which caches the device models.
     """
-    return SnmSession(variation, corner, temp_c, cell).snm(vdd_cell)
+    snm1, snm0 = SnmSession([(variation, corner, temp_c)], cell).snm(vdd_cell)[0]
+    return float(snm1), float(snm0)
 
-
-def snm_ds1(variation, vdd_cell, corner="typical", temp_c=25.0, cell=DEFAULT_CELL) -> float:
-    """SNM for stored logic '1' (node S high); see :func:`snm_ds`."""
-    return snm_ds(variation, vdd_cell, corner, temp_c, cell)[0]
-
-
-def snm_ds0(variation, vdd_cell, corner="typical", temp_c=25.0, cell=DEFAULT_CELL) -> float:
-    """SNM for stored logic '0' (node S low); see :func:`snm_ds`."""
-    return snm_ds(variation, vdd_cell, corner, temp_c, cell)[1]

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.drv import drv_ds0, drv_ds1
+from ..cell.drv import drv_ds_pair
 from ..devices.pvt import PVT
 from ..devices.variation import CellVariation
 from ..march.dsl import MarchTest
@@ -71,10 +71,7 @@ class DRFScenario:
     @cached_property
     def weak_drv(self) -> Tuple[float, float]:
         """(DRV_DS1, DRV_DS0) of the variation-affected cells here."""
-        return (
-            drv_ds1(self.variation, self.pvt.corner, self.pvt.temp_c, self.cell),
-            drv_ds0(self.variation, self.pvt.corner, self.pvt.temp_c, self.cell),
-        )
+        return drv_ds_pair(self.variation, self.pvt.corner, self.pvt.temp_c, self.cell)
 
     @cached_property
     def vddcc(self) -> float:

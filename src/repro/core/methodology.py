@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.drv import drv_ds1, worst_case_drv
+from ..cell.drv import drv_lanes, worst_case_drv
 from ..devices.pvt import PVT, corner_temp_grid
 from ..devices.variation import CELL_TRANSISTORS, CellVariation
 from ..regulator.defects import DRF_IDS
@@ -84,16 +84,17 @@ class RetentionTestMethodology:
         other half - Fig. 4's observation 1, verified here empirically by
         taking the worse of both signs.
         """
-        base = drv_ds1(CellVariation.symmetric(), cell=self.cell)
-        sensitivity = {}
-        for name in CELL_TRANSISTORS:
-            worst = 0.0
-            for sign in (-1.0, +1.0):
-                variation = CellVariation.single(name, sign * self.sigma)
-                delta = drv_ds1(variation, cell=self.cell) - base
-                worst = max(worst, delta)
-            sensitivity[name] = worst
-        return sensitivity
+        variations = [CellVariation.symmetric()] + [
+            CellVariation.single(name, sign * self.sigma)
+            for name in CELL_TRANSISTORS
+            for sign in (-1.0, +1.0)
+        ]
+        rows = [(variation, "typical", 25.0) for variation in variations]
+        base, *drvs = drv_lanes(rows, 0, self.cell).tolist()
+        return {
+            name: max(0.0, drvs[2 * k] - base, drvs[2 * k + 1] - base)
+            for k, name in enumerate(CELL_TRANSISTORS)
+        }
 
     def worst_case(self) -> Tuple[CellVariation, float, PVT]:
         """The 6-sigma worst-case combination and its DRV over PVT (step 2)."""

@@ -24,7 +24,7 @@ analysis can be fully vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -142,6 +142,24 @@ class MosfetModel:
         self._i0 = 2.0 * self.n * self.beta * self.phi_t**2
         #: Total gate-leak conductance (S); split evenly over the two overlaps.
         self.gate_leak_g = params.gate_leak_density * params.w * params.l
+
+    @classmethod
+    def stack(cls, models: Sequence["MosfetModel"]) -> "MosfetModel":
+        """One model whose ``vth_eff, n, phi_t, lambda_, _i0`` are ``(R, 1)`` columns.
+
+        The current is elementwise in them, so row ``r`` of :meth:`ids_value`
+        or :meth:`drain_sweep` is ``models[r]``'s result bit for bit.  The
+        models must share a polarity; only those two entry points are served.
+        """
+        if len({m.params.polarity for m in models}) != 1:
+            raise ValueError("MosfetModel.stack: models must share one polarity")
+        stacked = cls.__new__(cls)
+        stacked.params = models[0].params
+        stacked.name = models[0].name
+        for attr in ("vth_eff", "n", "phi_t", "lambda_", "_i0"):
+            column = np.array([getattr(m, attr) for m in models], dtype=float)
+            setattr(stacked, attr, column[:, None])
+        return stacked
 
     # ------------------------------------------------------------------ core
     def _gate_half(self, vgs):

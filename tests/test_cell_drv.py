@@ -1,11 +1,31 @@
 """Data retention voltage analysis (Section III)."""
 
+import numpy as np
 import pytest
 
-from repro.cell import drv_ds, drv_ds0, drv_ds1, worst_case_drv
-from repro.cell.drv import DRV_SEARCH_LO
+from repro import obs
+from repro.analysis.case_studies import case_study, table1_rows
+from repro.cell import (
+    DEFAULT_CELL,
+    SnmSession,
+    drv_ds,
+    drv_ds0,
+    drv_ds1,
+    snm_ds,
+    worst_case_drv,
+)
+from repro.cell.drv import (
+    DRV_SEARCH_HI,
+    DRV_SEARCH_LO,
+    drv_ds_pair,
+    drv_lanes,
+    worst_over_grid,
+)
+from repro.cell.snm import _BLOCK_ROWS, _lobe_separations
+from repro.cell.vtc import vtc_pair
 from repro.devices import CellVariation
 from repro.devices.pvt import PVT
+from repro.devices.variation import CELL_TRANSISTORS
 
 SYM = CellVariation.symmetric()
 
@@ -75,3 +95,138 @@ class TestWorstCaseSearch:
 
     def test_search_floor_constant(self):
         assert DRV_SEARCH_LO == pytest.approx(0.02)
+
+
+# ---------------------------------------------------------------- kernel
+PVTS = [(c, t) for c in ("typical", "fs", "sf", "fast") for t in (-40.0, 25.0, 125.0)]
+CS2_0 = CellVariation(mpcc2=-3, mncc2=-3)
+DS1_SIGNS = dict(CellVariation.worst_case_drv1(1.0).items())
+
+#: One mixed kernel call: (variation, corner, temp_c, lobe, exit path).
+MIXED_LANES = (
+    [(CellVariation.worst_case_drv1(6.0), c, t, 1, "floor") for c, t in PVTS]
+    + [(CellVariation.worst_case_drv1(12.0), c, 125.0, 0, "ceiling") for c in ("fs", "fast")]
+    + [(SYM, c, t, 0, "bisect") for c, t in PVTS]
+    + [(CS2_0, c, t, 1, "bisect") for c, t in PVTS]
+    # Each single-transistor cell on the lobe it degrades (the sign pattern
+    # of worst_case_drv1 degrades DS1), one PVT each.
+    + [
+        (CellVariation.single(name, sigma), *PVTS[k], int(sigma * DS1_SIGNS[name] < 0),
+         "bisect")
+        for k, (name, sigma) in enumerate(
+            (name, sigma) for name in CELL_TRANSISTORS for sigma in (-3.0, 3.0)
+        )
+    ]
+)
+
+
+def _scalar_snm(variation, corner, temp_c, vdd):
+    """(SNM_DS1, SNM_DS0) from the unstacked path: scalar models, vtc_pair."""
+    models = DEFAULT_CELL.models(variation, corner, temp_c)
+    grid = np.linspace(0.0, vdd, 256)
+    s_of_sb, sb_of_s = vtc_pair(grid, vdd, models)
+    return _lobe_separations(grid, s_of_sb, sb_of_s)
+
+
+def _reference_drv(variation, corner, temp_c, which):
+    """The one-lane bisection the lock-step kernel replaced."""
+    def snm(vdd):
+        return _scalar_snm(variation, corner, temp_c, vdd)[which]
+
+    lo, hi = DRV_SEARCH_LO, DRV_SEARCH_HI
+    if snm(lo) > 0.0:
+        return lo
+    if snm(hi) < 0.0:
+        return hi
+    for _ in range(16):
+        mid = 0.5 * (lo + hi)
+        if snm(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="module")
+def mixed_call():
+    """The kernel's values and obs recorder for the mixed lanes."""
+    rows = [(v, c, t) for v, c, t, _, _ in MIXED_LANES]
+    lobes = [lobe for *_, lobe, _ in MIXED_LANES]
+    assert len(set(rows)) > _BLOCK_ROWS  # the endpoint solves span two row blocks
+    with obs.recording() as rec:
+        values = drv_lanes(rows, lobes)
+    return values, rec
+
+
+class TestLockStepKernel:
+    def test_bit_identical_to_scalar_reference(self, mixed_call):
+        values, _ = mixed_call
+        expected = np.array([_reference_drv(v, c, t, w) for v, c, t, w, _ in MIXED_LANES])
+        assert np.array_equal(values, expected)
+
+    def test_lanes_take_their_exit_path(self, mixed_call):
+        values, _ = mixed_call
+        paths = np.array([path for *_, path in MIXED_LANES])
+        assert np.all(values[paths == "floor"] == DRV_SEARCH_LO)
+        assert np.all(values[paths == "ceiling"] == DRV_SEARCH_HI)
+        bisected = values[paths == "bisect"]
+        assert np.all((bisected > DRV_SEARCH_LO) & (bisected < DRV_SEARCH_HI))
+
+    def test_obs_counters_per_lane(self, mixed_call):
+        _, rec = mixed_call
+        paths = [path for *_, path in MIXED_LANES]
+        assert rec.counters["drv.solves"] == len(MIXED_LANES)
+        assert rec.counters["drv.floor_exits"] == paths.count("floor")
+        assert rec.counters["drv.ceiling_exits"] == paths.count("ceiling")
+        steps = rec.histograms["drv.bisection_steps"]
+        assert steps.count == len(MIXED_LANES)
+        assert steps.total == 16 * paths.count("bisect")
+        assert (steps.min, steps.max) == (0, 16)
+
+    def test_empty_call(self):
+        assert drv_lanes([], 0).shape == (0,)
+
+    def test_wrappers_are_kernel_lanes(self):
+        for corner, temp_c in (("typical", 25.0), ("fs", 125.0), ("sf", -40.0)):
+            pair = drv_ds_pair(CS2_0, corner, temp_c)
+            assert pair == (drv_ds1(CS2_0, corner, temp_c), drv_ds0(CS2_0, corner, temp_c))
+            assert drv_ds(CS2_0, corner, temp_c) == max(pair)
+
+
+class TestSnmSessionRows:
+    ROWS = [(SYM, "typical", 25.0), (CS2_0, "fs", 125.0), (SYM, "sf", -40.0)]
+
+    def test_each_row_equals_a_one_row_session(self):
+        stacked = SnmSession(self.ROWS).snm(0.3)
+        for r, row in enumerate(self.ROWS):
+            assert np.array_equal(stacked[r], SnmSession([row]).snm(0.3)[0])
+            assert tuple(stacked[r]) == _scalar_snm(*row, 0.3)
+        assert tuple(stacked[0]) == snm_ds(SYM, 0.3)
+
+    def test_snm_batch_equals_snm(self):
+        session = SnmSession(self.ROWS)
+        rows = [2, 0, 1, 0]
+        vdds = [0.25, 0.3, 0.6, 0.05]
+        batch = session.snm_batch(vdds, rows)
+        for i, (r, vdd) in enumerate(zip(rows, vdds)):
+            assert np.array_equal(batch[i], session.snm(vdd)[r])
+
+
+class TestWorstOverGrid:
+    def test_empty_grid_raises_value_error(self):
+        with pytest.raises(ValueError):
+            worst_case_drv(SYM, "ds1", pvt_grid=[])
+        with pytest.raises(ValueError):
+            table1_rows(pvt_grid=[])
+
+    def test_tie_goes_to_first_pvt_in_grid_order(self):
+        first, duplicate = PVT("fs", 1.1, 125.0), PVT("fs", 1.1, 125.0)
+        grid = [PVT("typical", 1.1, 25.0), first, duplicate]
+        with obs.recording() as rec:
+            _, pvt = worst_case_drv(CS2_0, "ds0", pvt_grid=grid)
+        assert pvt is first
+        # The duplicate lane shares its twin's search but counts as a lane.
+        assert rec.counters["drv.solves"] == 3
+        assert rec.histograms["drv.bisection_steps"].count == 3
+        assert case_study("CS2-0").worst_drv(grid)[1] is first
+        assert worst_over_grid([0.1, 0.3, 0.3], grid) == (0.3, first)

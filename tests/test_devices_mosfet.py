@@ -185,6 +185,34 @@ class TestDrainSweep:
         assert np.array_equal(got, m.ids_value(vg, vd, vs))
 
 
+class TestStack:
+    """Row ``r`` of a stacked model is ``models[r]`` bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        temps=st.lists(st.floats(-40.0, 125.0), min_size=1, max_size=4),
+        corner=st.sampled_from(sorted(CORNERS)),
+        vg=st.floats(-0.2, 1.4),
+        vs=st.floats(0.0, 1.4),
+        ds=st.lists(st.floats(0.0, 1.4), min_size=1, max_size=6),
+        polarity=st.sampled_from(["n", "p"]),
+    )
+    def test_rows_match_their_models(self, temps, corner, vg, vs, ds, polarity):
+        make = _nmos if polarity == "n" else _pmos
+        models = [make(t, CORNERS[corner], vth=0.4 + 0.01 * k) for k, t in enumerate(temps)]
+        stacked = MosfetModel.stack(models)
+        vd = _drain_side(vs, np.array(ds), polarity)
+        sweep = stacked.drain_sweep(vg, vs)(np.broadcast_to(vd, (len(models), vd.size)))
+        value = stacked.ids_value(vg, vd, vs)
+        for r, m in enumerate(models):
+            assert np.array_equal(sweep[r], m.drain_sweep(vg, vs)(vd))
+            assert np.array_equal(value[r], m.ids_value(vg, vd, vs))
+
+    def test_mixed_polarity_rejected(self):
+        with pytest.raises(ValueError):
+            MosfetModel.stack([_nmos(), _pmos()])
+
+
 class TestTemperatureAndCorners:
     def test_leakage_grows_with_temperature(self):
         cold = _nmos(-30.0).ids_value(0.0, 1.1, 0.0)

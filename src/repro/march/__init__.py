@@ -28,7 +28,13 @@ from .library import (
     standard_tests,
 )
 from .parser import MarchParseError, parse_library_or_custom, parse_march
-from .runner import MarchFailure, MarchResult, run_march, run_march_vectorized
+from .runner import (
+    FailureTable,
+    MarchFailure,
+    MarchResult,
+    run_march,
+    run_march_vectorized,
+)
 from .coverage import CoverageReport, evaluate_coverage
 
 __all__ = [
@@ -53,6 +59,7 @@ __all__ = [
     "MarchParseError",
     "MarchResult",
     "MarchFailure",
+    "FailureTable",
     "evaluate_coverage",
     "CoverageReport",
 ]

@@ -3,7 +3,8 @@
 The runner drives the memory's functional interface only (reads, writes,
 DSM/WUP mode switches) - exactly what external test equipment sees.  Reads
 compare the observed word against the expected all-0s/all-1s background;
-every mismatching bit is recorded as a :class:`MarchFailure`.
+every mismatching bit is recorded as one row of a :class:`FailureTable`,
+read back as :class:`MarchFailure` objects.
 
 ``vddcc_for_sleep`` lets a caller bind the sleeps to an electrical scenario
 (e.g. the VDD_CC of a regulator with an injected defect); by default the
@@ -12,8 +13,9 @@ fault-free supply from the memory's configuration is used.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,12 +43,89 @@ class MarchFailure:
         )
 
 
+#: Column dtypes of a :class:`FailureTable`, in :class:`MarchFailure` field
+#: order: element, op, addr, bit, expected, observed.
+_COLUMN_DTYPES = (np.int32, np.int32, np.intp, np.int32, np.uint8, np.uint8)
+
+
+class FailureTable(Sequence[MarchFailure]):
+    """Read-only, columnar list of :class:`MarchFailure` rows.
+
+    Six integer columns (element, op, addr, bit, expected, observed) hold
+    what would otherwise be one Python object per failing bit; a
+    :class:`MarchFailure` is built only when a row is accessed.  Indexing,
+    negative indexing, slicing (a table over views), iteration, ``len`` and
+    ``bool`` behave as on the equivalent list.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Optional[Sequence[np.ndarray]] = None) -> None:
+        if columns is None:
+            columns = [np.empty(0, dtype) for dtype in _COLUMN_DTYPES]
+        self._columns: Tuple[np.ndarray, ...] = tuple(
+            np.asarray(col, dtype) for col, dtype in zip(columns, _COLUMN_DTYPES)
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Tuple[int, ...]]) -> "FailureTable":
+        """A table from ``(element, op, addr, bit, expected, observed)`` rows."""
+        if not rows:
+            return cls()
+        return cls(np.array(rows, dtype=np.int64).T)
+
+    @classmethod
+    def concat(cls, tables: Sequence["FailureTable"]) -> "FailureTable":
+        if not tables:
+            return cls()
+        return cls([np.concatenate(cols) for cols in zip(*(t._columns for t in tables))])
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return FailureTable([col[index] for col in self._columns])
+        return MarchFailure(*(int(col[index]) for col in self._columns))
+
+    def __iter__(self) -> Iterator[MarchFailure]:
+        for row in zip(*(col.tolist() for col in self._columns)):
+            yield MarchFailure(*row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FailureTable):
+            return all(
+                np.array_equal(a, b) for a, b in zip(self._columns, other._columns)
+            )
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FailureTable({len(self)} failures)"
+
+    def cells(self) -> List[Tuple[int, int]]:
+        """Sorted distinct (addr, bit) pairs.
+
+        Deduplicates packed ``addr << 32 | bit`` keys with a sort and an
+        adjacent-difference mask, which keeps (addr, bit) lexicographic
+        order and is far cheaper than a Python set at 10^5+ rows.
+        """
+        _element, _op, addr, bit, _exp, _obs = self._columns
+        keys = np.sort((addr.astype(np.int64) << 32) | bit.astype(np.int64))
+        if len(keys):
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        return list(zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist()))
+
+
 @dataclass
 class MarchResult:
     """Outcome of one March test execution."""
 
     test_name: str
-    failures: List[MarchFailure] = field(default_factory=list)
+    failures: FailureTable = field(default_factory=FailureTable)
     operations: int = 0
 
     @property
@@ -58,8 +137,8 @@ class MarchResult:
         """True when the test flagged at least one fault."""
         return bool(self.failures)
 
-    def failing_cells(self):
-        return sorted({(f.addr, f.bit) for f in self.failures})
+    def failing_cells(self) -> List[Tuple[int, int]]:
+        return self.failures.cells()
 
     def __str__(self) -> str:
         state = "PASS" if self.passed else f"FAIL ({len(self.failures)} mismatches)"
@@ -88,6 +167,7 @@ def run_march(
     write drives all bits of a word simultaneously.
     """
     result = MarchResult(test.name)
+    rows: List[Tuple[int, ...]] = []
     n_words = sram.config.n_words
     word_bits = sram.config.word_bits
     all_ones = (
@@ -116,20 +196,19 @@ def run_march(
                 else:
                     observed = sram.read(addr)
                     expected = all_ones if op.value else all_zeros
-                    if observed != expected and len(result.failures) < max_failures:
+                    if observed != expected and len(rows) < max_failures:
                         diff = observed ^ expected
                         for bit in range(word_bits):
                             if (diff >> bit) & 1:
-                                result.failures.append(
-                                    MarchFailure(
-                                        element_index, op_index, addr, bit,
-                                        (expected >> bit) & 1,
-                                        (observed >> bit) & 1,
-                                    )
-                                )
-                                if len(result.failures) >= max_failures:
+                                rows.append((
+                                    element_index, op_index, addr, bit,
+                                    (expected >> bit) & 1,
+                                    (observed >> bit) & 1,
+                                ))
+                                if len(rows) >= max_failures:
                                     break
                 result.operations += 1
+    result.failures = FailureTable.from_rows(rows)
     return result
 
 
@@ -146,8 +225,9 @@ def run_march_vectorized(
     failures in the same order (element, address-in-traversal-order, op,
     bit ascending), same operation count, same ``max_failures`` truncation
     - but runs every ``rX``/``wX`` as a single numpy pass over the
-    ``(n_words, word_bits)`` bit plane, which is what makes 10^6-10^7-cell
-    macros tractable.
+    ``(n_words, word_bits)`` bit plane and emits each element's failures
+    as table columns, which is what makes 10^6-10^7-cell macros
+    tractable.
 
     Equivalence rests on the supported fault set being *cell-local*: a
     cell's observed value depends only on its own operation history, which
@@ -164,6 +244,8 @@ def run_march_vectorized(
     obs.count("march.vectorized.runs")
 
     result = MarchResult(test.name)
+    tables: List[FailureTable] = []
+    collected = 0
     n_words = sram.config.n_words
     word_bits = sram.config.word_bits
     ones_word = (
@@ -192,7 +274,7 @@ def run_march_vectorized(
         descending = el.order is AddressOrder.DOWN
         for fault in sram.faults:
             fault.begin_element(n_words, len(el.ops), descending)
-        # (op_index, mismatch plane) for every read with at least one miss.
+        # (op_index, value, mismatch plane) for every read with a miss.
         mismatches = []
         for op_index, op in enumerate(el.ops):
             expected_plane = ones_plane if op.value else zeros_plane
@@ -207,35 +289,42 @@ def run_march_vectorized(
             fault.end_element()
         result.operations += n_words * len(el.ops)
 
-        # Emit this element's failures in scalar order: address in
-        # traversal order, then op index, then bit ascending.  Like the
-        # scalar runner, hitting ``max_failures`` only stops *collection*
-        # - subsequent elements still execute.
-        if mismatches and len(result.failures) < max_failures:
-            rows_hit = np.zeros(n_words, dtype=bool)
-            for _op_index, _value, miss in mismatches:
-                rows_hit |= miss.any(axis=1)
-            addrs = np.nonzero(rows_hit)[0]
-            if descending:
-                addrs = addrs[::-1]
-            capped = False
-            for addr in addrs:
-                for op_index, value, miss in mismatches:
-                    for bit in np.nonzero(miss[addr])[0]:
-                        expected_bit = int(
-                            ones_plane[bit] if value else zeros_plane[bit]
-                        )
-                        result.failures.append(
-                            MarchFailure(
-                                element_index, op_index, int(addr), int(bit),
-                                expected_bit, expected_bit ^ 1,
-                            )
-                        )
-                        if len(result.failures) >= max_failures:
-                            capped = True
-                            break
-                    if capped:
-                        break
-                if capped:
-                    break
+        # Like the scalar runner, hitting ``max_failures`` only stops
+        # *collection* - subsequent elements still execute.
+        if mismatches and collected < max_failures:
+            table = _element_failures(
+                element_index, mismatches, descending,
+                ones_plane, zeros_plane, max_failures - collected,
+            )
+            tables.append(table)
+            collected += len(table)
+    result.failures = FailureTable.concat(tables)
     return result
+
+
+def _element_failures(
+    element_index: int,
+    mismatches: List[Tuple[int, int, np.ndarray]],
+    descending: bool,
+    ones_plane: np.ndarray,
+    zeros_plane: np.ndarray,
+    limit: int,
+) -> FailureTable:
+    """One element's failures in scalar order, truncated to ``limit`` rows.
+
+    Scalar order is address in traversal order, then op index, then bit
+    ascending.  Stacking the mismatch planes as ``(address, op, bit)`` -
+    the address axis reversed for a descending element - makes that the
+    row-major order ``np.nonzero`` already emits, so no sort is needed.
+    """
+    stack = np.stack([miss for _op, _value, miss in mismatches], axis=1)
+    if descending:
+        stack = stack[::-1]
+    addr, pos, bit = (axis[:limit] for axis in np.nonzero(stack))
+    if descending:
+        addr = stack.shape[0] - 1 - addr
+    op_index = np.array([op for op, _value, _miss in mismatches])[pos]
+    values = np.array([value for _op, value, _miss in mismatches], dtype=bool)
+    expected = np.where(values[pos], ones_plane[bit], zeros_plane[bit])
+    element = np.full(len(addr), element_index)
+    return FailureTable((element, op_index, addr, bit, expected, expected ^ 1))

@@ -35,6 +35,7 @@ Escape taxonomy (per bank, at the test conditions)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Optional
 
 import numpy as np
@@ -224,9 +225,10 @@ def bank_escape_summary(
     mission_flip = engine.flip_mask(vddcc, mission_time, ones) | engine.flip_mask(
         vddcc, mission_time, zeros
     )
+    cells = result.failing_cells()
+    flat = np.fromiter(chain.from_iterable(cells), np.intp, 2 * len(cells))
     detected = np.zeros(shape, dtype=bool)
-    for addr, bit in result.failing_cells():
-        detected[addr, bit] = True
+    detected[flat[0::2], flat[1::2]] = True
     escaped = mission_flip & ~detected
     weak = np.maximum(engine.drv1, engine.drv0) > vddcc
 

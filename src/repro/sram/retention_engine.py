@@ -19,9 +19,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.leakage import cell_leakage_current
-from ..cell.retention import C_NODE, retains
-from ..devices.variation import CellVariation
+from ..cell.retention import C_NODE, retains, symmetric_leakage
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class ArrayRetentionEngine(RetentionEngine):
     Bit-for-bit equivalence with the scalar engine is a hard contract (the
     scalar path is the differential oracle): the mask uses the *same*
     float64 expression structure as :func:`repro.cell.retention.flip_time`
-    - one shared leakage evaluation at the common supply, then
+    - one shared (memoised) leakage evaluation at the common supply, then
     ``C_NODE * v / (leak * (1 - v/drv))`` elementwise - so
     ``flip_mask(...)`` and a :class:`RetentionEngine` built from
     :meth:`weak_cell_list` flip exactly the same cells.
@@ -131,22 +129,22 @@ class ArrayRetentionEngine(RetentionEngine):
         return self.drv1.shape
 
     def flip_times(self, vddcc: float, stored_bits: np.ndarray) -> np.ndarray:
-        """Per-cell flip time (s) at supply ``vddcc`` for the stored plane."""
+        """Per-cell flip time (s) at supply ``vddcc`` for the stored plane.
+
+        Same precedence as :func:`~repro.cell.retention.flip_time`: ``inf``
+        where ``vddcc >= drv``, else 0 where ``vddcc <= 0``.
+        """
         v = float(vddcc)
         drv = np.where(np.asarray(stored_bits) != 0, self.drv1, self.drv0)
-        times = np.full(drv.shape, np.inf)
-        if v <= 0.0:
-            times[:] = 0.0
-            return times
-        leak = cell_leakage_current(
-            v, CellVariation.symmetric(), self.corner, self.temp_c, self.cell
-        )
-        leak = max(leak, 1e-18)
         below = v < drv
+        if v <= 0.0:
+            return np.where(below, 0.0, np.inf)
+        leak = symmetric_leakage(v, self.corner, self.temp_c, self.cell)
+        # Whole-plane arithmetic, then a select: cheaper than gathering the
+        # below-DRV cells, and elementwise the same float64 expression.
         with np.errstate(divide="ignore", invalid="ignore"):
             deficit = 1.0 - v / drv
-            times[below] = (C_NODE * v / (leak * deficit))[below]
-        return times
+            return np.where(below, C_NODE * v / (leak * deficit), np.inf)
 
     def flip_mask(
         self, vddcc: float, ds_time: float, stored_bits: np.ndarray

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.cell import array_leakage_current, cell_leakage_current, flip_time, retains
+from repro.cell.retention import clear_sym_leak_memo, symmetric_leakage
 from repro.devices import CellVariation
 
 
@@ -106,3 +107,62 @@ class TestRetains:
         needed = flip_time(v, drv)
         assert retains(v, drv, ds_time=needed / 10)
         assert not retains(v, drv, ds_time=needed * 10)
+
+
+class TestSymmetricLeakage:
+    """The memoised symmetric-cell leakage behind every flip time."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        clear_sym_leak_memo()
+        yield
+        clear_sym_leak_memo()
+
+    @pytest.mark.parametrize("corner", ["typical", "fs", "sf"])
+    @pytest.mark.parametrize("temp_c", [-40.0, 25.0, 125.0])
+    def test_bit_exact_against_floored_solve(self, corner, temp_c):
+        # 0.05 V at -40 C is the capped hold-state point.
+        for v in (0.05, 0.3, 0.77):
+            expected = max(
+                cell_leakage_current(v, CellVariation.symmetric(), corner, temp_c),
+                1e-18,
+            )
+            assert symmetric_leakage(v, corner, temp_c) == expected
+            assert symmetric_leakage(v, corner, temp_c) == expected  # memo hit
+
+    def test_repeat_call_hits_without_resolving(self):
+        with obs.recording() as rec:
+            first = symmetric_leakage(0.05, "typical", -40.0)
+        assert rec.counters.get("leakage.hold.capped", 0) == 1
+        assert rec.counters["memo.sym_leak.misses"] == 1
+        with obs.recording() as rec:
+            again = symmetric_leakage(0.05, "typical", -40)
+        assert again == first
+        assert rec.counters["memo.sym_leak.hits"] == 1
+        assert rec.counters.get("memo.sym_leak.misses", 0) == 0
+        assert rec.counters.get("leakage.hold.capped", 0) == 0
+
+    def test_flip_time_uses_the_memo(self):
+        with obs.recording() as rec:
+            flip_time(0.05, 0.1, temp_c=-40.0)
+            flip_time(0.05, 0.2, temp_c=-40.0)
+        assert rec.counters["memo.sym_leak.misses"] == 1
+        assert rec.counters["memo.sym_leak.hits"] == 1
+
+    def test_one_solve_per_bank_escape_summary(self, monkeypatch):
+        from repro.cell import retention
+        from repro.sram import MacroSpec, bank_escape_summary
+
+        calls = []
+        real = retention.cell_leakage_current
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(retention, "cell_leakage_current", counting)
+        bank_escape_summary(
+            MacroSpec(words=16, bits=4, banks=1, seed=3), 0, vddcc=0.05,
+            temp_c=-40.0, buckets=2,
+        )
+        assert len(calls) == 1

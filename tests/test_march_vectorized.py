@@ -26,6 +26,7 @@ from repro.march import (
     run_march,
     run_march_vectorized,
 )
+from repro.march.dsl import AddressOrder, MarchTest, element, read, write
 from repro.sram import (
     ArrayRetentionEngine,
     CouplingFaultIdempotent,
@@ -241,26 +242,91 @@ def _fault_plan(draw):
     )
 
 
+def _build_plan_sram(plan):
+    config = SRAMConfig(n_words=plan["n_words"], word_bits=plan["word_bits"])
+    m = LowPowerSRAM(config)
+    for (addr, bit), value in plan["safs"]:
+        m.inject(StuckAtFault(addr, bit, value))
+    for (addr, bit), rising in plan["tfs"]:
+        m.inject(TransitionFault(addr, bit, rising=rising))
+    if plan["drf"] is not None:
+        m.inject(DataRetentionFault(**plan["drf"]))
+    if plan["ppg"] is not None:
+        m.inject(PeripheralPowerGatingFault(recovery_ops=plan["ppg"]))
+    return m
+
+
 class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(plan=_fault_plan())
     def test_vectorized_equals_scalar_cell_by_cell(self, plan):
-        config = SRAMConfig(n_words=plan["n_words"], word_bits=plan["word_bits"])
-
-        def build():
-            m = LowPowerSRAM(config)
-            for (addr, bit), value in plan["safs"]:
-                m.inject(StuckAtFault(addr, bit, value))
-            for (addr, bit), rising in plan["tfs"]:
-                m.inject(TransitionFault(addr, bit, rising=rising))
-            if plan["drf"] is not None:
-                m.inject(DataRetentionFault(**plan["drf"]))
-            if plan["ppg"] is not None:
-                m.inject(PeripheralPowerGatingFault(recovery_ops=plan["ppg"]))
-            return m
-
         _assert_equivalent(
-            march_m_lz(), build,
+            march_m_lz(), lambda: _build_plan_sram(plan),
             vddcc_for_sleep=lambda i: plan["vddcc"],
             background=plan["background"],
         )
+
+
+# --------------------------------------------------------------------------
+# The columnar failure table behind ``MarchResult.failures``.
+# --------------------------------------------------------------------------
+
+class TestFailureTable:
+    @settings(max_examples=40, deadline=None)
+    @given(plan=_fault_plan(), max_failures=st.integers(1, 60), data=st.data())
+    def test_table_behaves_as_its_list(self, plan, max_failures, data):
+        for runner in (run_march, run_march_vectorized):
+            result = runner(
+                march_c_minus(), _build_plan_sram(plan),
+                vddcc_for_sleep=lambda i: plan["vddcc"],
+                max_failures=max_failures, background=plan["background"],
+            )
+            table = result.failures
+            rows = list(table)
+            assert result.failing_cells() == sorted(
+                {(f.addr, f.bit) for f in table}
+            )
+            assert len(table) == len(rows) <= max_failures
+            assert bool(table) == bool(rows) == result.detected
+            assert [table[i] for i in range(len(rows))] == rows
+            assert [table[-i] for i in range(1, len(rows) + 1)] == [
+                rows[-i] for i in range(1, len(rows) + 1)
+            ]
+            start = data.draw(st.integers(-len(rows) - 2, len(rows) + 2))
+            stop = data.draw(st.none() | st.integers(-len(rows) - 2, len(rows) + 2))
+            step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+            assert list(table[start:stop:step]) == rows[start:stop:step]
+            with pytest.raises(IndexError):
+                table[len(rows)]
+            with pytest.raises(IndexError):
+                table[-len(rows) - 1]
+
+    def test_empty_table(self):
+        result = run_march_vectorized(march_m_lz(), LowPowerSRAM(CONFIG))
+        assert len(result.failures) == 0 and not result.failures
+        assert list(result.failures) == [] and list(result.failures[:5]) == []
+        assert result.failing_cells() == []
+
+    @pytest.mark.parametrize("max_failures", range(1, 15))
+    def test_truncation_inside_a_descending_element(self, max_failures):
+        """Caps that fall between words, between ops of one word and
+        between bits of one op, all inside one ``⇓`` element."""
+        test = MarchTest("down", (
+            element(AddressOrder.ANY, write(0)),
+            element(AddressOrder.DOWN, read(0), write(1), read(1)),
+        ))
+
+        def build():
+            m = LowPowerSRAM(CONFIG)
+            for addr, bit, value in [(3, 0, 1), (3, 2, 1), (3, 5, 0),
+                                     (9, 1, 1), (9, 4, 1), (9, 6, 0),
+                                     (12, 7, 0), (12, 3, 1)]:
+                m.inject(StuckAtFault(addr, bit, value))
+            m.inject(TransitionFault(9, 2, rising=True))
+            return m
+
+        scalar, vectorized = _assert_equivalent(
+            test, build, max_failures=max_failures
+        )
+        assert len(vectorized.failures) == min(max_failures, 9)
+        assert vectorized.failures[0].addr == 12  # descending traversal

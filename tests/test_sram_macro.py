@@ -30,6 +30,7 @@ from repro.cell.drv import (
     drv_ds_pair_map,
     skew_scores,
 )
+from repro.cell.retention import flip_time
 from repro.devices.variation import CELL_TRANSISTORS, CellVariation
 from repro.sram import (
     ArrayRetentionEngine,
@@ -232,6 +233,27 @@ class TestArrayRetentionEngine:
         assert np.all(engine.flip_times(0.0, ones) == 0.0)
         finite = engine.flip_times(0.05, ones)
         assert np.all(np.isfinite(finite)) and np.all(finite > 0.0)
+
+    @pytest.mark.parametrize("vddcc", [0.0, -0.05])
+    def test_non_positive_supply_matches_scalar_flip_time(self, vddcc):
+        """``inf`` where v >= DRV takes precedence over 0 where v <= 0,
+        as in the scalar :func:`~repro.cell.retention.flip_time`."""
+        drvs = np.array([[0.0, 0.1], [-0.1, 0.05]])
+        engine = ArrayRetentionEngine(drvs, drvs)
+        stored = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        times = engine.flip_times(vddcc, stored)
+        expected = np.array(
+            [[flip_time(vddcc, float(d)) for d in row] for row in drvs]
+        )
+        assert np.array_equal(times, expected)
+        mask = engine.flip_mask(vddcc, 1e-3, stored)
+        flips = engine.to_scalar().flips(
+            vddcc, 1e-3, lambda a, b: int(stored[a, b])
+        )
+        assert sorted(flips) == [
+            (int(a), int(b)) for a, b in zip(*np.nonzero(mask))
+        ]
+        assert mask[0, 0] == (vddcc < 0.0)  # a 0 V DRV retains at 0 V
 
     def test_flips_protocol_compat(self):
         """The scalar ``flips`` protocol works on the array engine (the

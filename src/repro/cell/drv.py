@@ -195,51 +195,106 @@ def skew_scores(sigmas: np.ndarray) -> np.ndarray:
     return sigmas @ _SKEW_WEIGHTS
 
 
+def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Bucket code of every cell and the index of each bucket's representative.
+
+    The ``n`` cells split into ``B = min(buckets, n)`` runs.  Run ``b``
+    holds the cells at stable ranks ``[start_b, start_b + size_b)`` of
+    ``scores`` (ascending, ties in index order), with the run sizes of
+    ``np.array_split``; its representative is the cell at rank ``start_b +
+    size_b // 2``.  That is exactly what splitting a stable argsort gives,
+    found without sorting: one ``np.partition`` reads the scores at the run
+    starts and the representative ranks, and the cell at stable rank ``r``
+    with score ``x`` is the ``(r - #{s < x})``-th index of
+    ``flatnonzero(scores == x)`` (``-0.0 == 0.0``, as in the sort).  A
+    cell's code is the number of run starts at or below it: ``searchsorted``
+    against the start scores, then each start's tie group split at that
+    same count.
+
+    Codes come in the smallest unsigned dtype holding ``B - 1``.  Raises
+    ``ValueError`` for ``buckets < 1`` or a non-finite score.
+    """
+    if int(buckets) < 1:
+        raise ValueError(f"buckets must be >= 1, got {buckets}")
+    if not np.isfinite(scores).all():
+        raise ValueError("DRV skew scores must be finite (non-finite sigma)")
+    n = len(scores)
+    if n == 0:
+        return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.intp)
+    buckets = min(int(buckets), n)
+    size, extra = divmod(n, buckets)
+    run = np.arange(buckets)
+    starts = run * size + np.minimum(run, extra)
+    reps = starts + (size + (run < extra)) // 2
+    ranks = np.concatenate([starts[1:], reps])
+    values = np.partition(scores, ranks)[ranks].tolist()
+    groups: dict = {}
+
+    def tie_split(rank: int, value: float) -> Tuple[np.ndarray, int]:
+        """The cells scoring ``value`` and how many of them rank below ``rank``."""
+        if value not in groups:
+            groups[value] = (
+                int(np.count_nonzero(scores < value)),
+                np.flatnonzero(scores == value),
+            )
+        less, ties = groups[value]
+        return ties, rank - less
+
+    bounds = values[: buckets - 1]
+    codes = np.searchsorted(bounds, scores, side="right").astype(
+        np.min_scalar_type(buckets - 1)
+    )
+    for rank, value in zip(starts[1:].tolist(), bounds):
+        ties, below = tie_split(rank, value)
+        codes[ties[:below]] -= 1
+    rep_cells = np.empty(buckets, dtype=np.intp)
+    for bucket, (rank, value) in enumerate(zip(reps.tolist(), values[buckets - 1:])):
+        ties, below = tie_split(rank, value)
+        rep_cells[bucket] = ties[below]
+    return codes, rep_cells
+
+
 def drv_ds_pair_map(
     sigmas: np.ndarray,
     corner: str = "typical",
     temp_c: float = 25.0,
     cell: CellDesign = DEFAULT_CELL,
     buckets: int = 16,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantile-bucketed per-cell (DRV_DS1, DRV_DS0) maps.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantile-bucketed per-cell (DRV_DS1, DRV_DS0) map as codes + tables.
 
     ``sigmas`` is an ``(n, 6)`` matrix of per-cell Vth sigma multipliers in
     :data:`~repro.devices.variation.CELL_TRANSISTORS` order (a flattened
     macro variation map).  A full per-cell solve would cost ``n`` bisection
     pairs (~0.1 s each) - prohibitive for 10^6-cell macros.  Instead the
-    cells are sorted by :func:`skew_scores` (the dominant axis of DRV
-    variation), split into ``buckets`` equal-population quantile runs, and
-    each run inherits the exact :func:`drv_ds_pair` of its median-score
-    representative cell.  A million cells therefore cost ``buckets`` pair
-    solves, shared further across calls by the :func:`drv_ds_pair_cached`
-    memo.
+    cells are ranked by :func:`skew_scores` (the dominant axis of DRV
+    variation), split into ``buckets`` equal-population quantile runs by
+    :func:`rank_buckets`, and each run inherits the exact
+    :func:`drv_ds_pair` of its median-rank representative cell.  A million
+    cells therefore cost ``buckets`` pair solves, shared further across
+    calls by the :func:`drv_ds_pair_cached` memo.
 
-    Returns two ``(n,)`` float arrays.  Deterministic: the stable argsort
-    and median-of-run representative depend only on ``sigmas``.
+    Returns ``(codes, drv1, drv0)``: an ``(n,)`` plane of bucket codes in
+    the smallest unsigned dtype holding ``buckets - 1``, and the per-bucket
+    DRV_DS1 / DRV_DS0 tables, so cell ``i`` has ``drv1[codes[i]]``.  With
+    ``n <= buckets`` every cell is its own bucket.  Deterministic: codes
+    and representatives are those of a stable argsort of the scores.
+
+    Raises ``ValueError`` for ``buckets < 1`` or a non-finite sigma.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    scores = skew_scores(sigmas)
-    n = len(scores)
-    drv1 = np.empty(n)
-    drv0 = np.empty(n)
-    if n == 0:
-        return drv1, drv0
-    buckets = max(1, min(int(buckets), n))
-    order = np.argsort(scores, kind="stable")
-    obs.count("drv.map.cells", n)
-    for run in np.array_split(order, buckets):
-        if len(run) == 0:
-            continue
+    codes, rep_cells = rank_buckets(skew_scores(sigmas), buckets)
+    if len(codes):
+        obs.count("drv.map.cells", len(codes))
+    drv1 = np.empty(len(rep_cells))
+    drv0 = np.empty(len(rep_cells))
+    for bucket, rep in enumerate(rep_cells):
         obs.count("drv.map.buckets")
-        rep = run[len(run) // 2]
         variation = CellVariation(
             **{t: float(s) for t, s in zip(CELL_TRANSISTORS, sigmas[rep])}
         )
-        pair1, pair0 = drv_ds_pair_cached(variation, corner, temp_c, cell)
-        drv1[run] = pair1
-        drv0[run] = pair0
-    return drv1, drv0
+        drv1[bucket], drv0[bucket] = drv_ds_pair_cached(variation, corner, temp_c, cell)
+    return codes, drv1, drv0
 
 
 def worst_case_drv(

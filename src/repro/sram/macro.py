@@ -137,13 +137,13 @@ def macro_retention(
     sigmas = (
         spec.variation_sigmas() if bank is None else spec.bank_sigmas(bank)
     )
-    n_words, n_bits = sigmas.shape[:2]
-    drv1, drv0 = drv_ds_pair_map(
+    codes, drv1, drv0 = drv_ds_pair_map(
         sigmas.reshape(-1, _SIGMAS_PER_CELL), corner, temp_c, cell, buckets
     )
-    return ArrayRetentionEngine(
-        drv1.reshape(n_words, n_bits),
-        drv0.reshape(n_words, n_bits),
+    return ArrayRetentionEngine.from_codes(
+        codes.reshape(sigmas.shape[:2]),
+        drv1,
+        drv0,
         symmetric_drv,
         corner,
         temp_c,
@@ -230,17 +230,18 @@ def bank_escape_summary(
     detected = np.zeros(shape, dtype=bool)
     detected[flat[0::2], flat[1::2]] = True
     escaped = mission_flip & ~detected
-    weak = np.maximum(engine.drv1, engine.drv0) > vddcc
+    counts = np.bincount(engine.codes.ravel(), minlength=engine.drv_table.shape[1])
+    drv_low, drv_high = engine.drv_table.min(axis=0), engine.drv_table.max(axis=0)
 
     return {
         "bank": bank,
         "cells": int(np.prod(shape)),
-        "weak": int(weak.sum()),
+        "weak": int(counts[drv_high > vddcc].sum()),
         "detected": int(detected.sum()),
         "escaped": int(escaped.sum()),
         "test_flips": int(test_flip.sum()),
         "mission_flips": int(mission_flip.sum()),
         "operations": result.operations,
-        "drv_max": float(np.max(np.maximum(engine.drv1, engine.drv0))),
-        "drv_min": float(np.min(np.minimum(engine.drv1, engine.drv0))),
+        "drv_max": float(drv_high.max()),
+        "drv_min": float(drv_low.min()),
     }

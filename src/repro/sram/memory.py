@@ -11,7 +11,7 @@ passing the degraded VDD_CC to :meth:`LowPowerSRAM.enter_deep_sleep`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -263,11 +263,16 @@ class LowPowerSRAM:
         for fault in self.faults:
             fault.on_sleep(self, self._ds_supply, self._ds_time)
 
-    def wake_up(self) -> List[tuple]:
-        """DS -> ACT.  Applies retention outcomes; returns flipped cells."""
+    def wake_up(self) -> Union[List[tuple], np.ndarray]:
+        """DS -> ACT.  Applies retention outcomes; returns the flipped cells.
+
+        With an array engine (``retention.vectorized``) the flipped cells
+        come back as the boolean ``(n_words, word_bits)`` flip mask, never
+        as a list; otherwise as an ``(addr, bit)`` list, or ``[("*",
+        "*")]`` when the supply collapsed and the whole array was lost.
+        """
         if self.pm.mode is not PowerMode.DS:
             raise MemoryModeError(f"cannot wake up from {self.pm.mode.name}")
-        flipped = []
         if self.retention.bulk_data_loss(self._ds_supply, self._ds_time):
             # Supply collapsed below even the symmetric-cell DRV: the whole
             # array settles to leakage-preferred states.
@@ -278,13 +283,12 @@ class LowPowerSRAM:
         elif getattr(self.retention, "vectorized", False):
             # Array-backed engine: one whole-plane flip mask instead of a
             # Python loop over weak cells.
-            mask = self.retention.flip_mask(
+            flipped = self.retention.flip_mask(
                 self._ds_supply, self._ds_time, self._bits
             )
-            self._bits ^= mask.astype(np.uint8)
-            rows, cols = np.nonzero(mask)
-            flipped = list(zip(rows.tolist(), cols.tolist()))
+            self._bits ^= flipped
         else:
+            flipped = []
             for addr, bit in self.retention.flips(
                 self._ds_supply, self._ds_time, self.peek_bit
             ):

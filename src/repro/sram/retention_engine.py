@@ -86,19 +86,22 @@ class RetentionEngine:
 class ArrayRetentionEngine(RetentionEngine):
     """Array-backed retention engine: one DRV pair per cell of a macro.
 
-    Instead of a list of :class:`WeakCell` objects this engine holds two
-    dense ``(n_words, word_bits)`` float planes - the per-cell DRV_DS1 and
-    DRV_DS0 maps produced by :func:`repro.cell.drv.drv_ds_pair_map` from a
-    macro's variation map.  :meth:`flip_mask` evaluates the paper's
-    flip-time criterion for every cell in a handful of numpy expressions.
+    A macro bank has only a few distinct DRV pairs, so the engine holds a
+    ``(n_words, word_bits)`` plane of small unsigned bucket ``codes`` plus
+    a ``(2, B)`` :attr:`drv_table` (row 0 DRV_DS0, row 1 DRV_DS1, indexed
+    by the stored bit) - the map :func:`repro.cell.drv.drv_ds_pair_map`
+    produces for a macro's variation map (:meth:`from_codes`).  The plane
+    constructor is the one-code-per-cell case.  :meth:`flip_times` and
+    :meth:`flip_mask` evaluate the paper's flip-time criterion on the
+    table and gather the result by (stored bit, code).
 
     Bit-for-bit equivalence with the scalar engine is a hard contract (the
-    scalar path is the differential oracle): the mask uses the *same*
-    float64 expression structure as :func:`repro.cell.retention.flip_time`
-    - one shared (memoised) leakage evaluation at the common supply, then
-    ``C_NODE * v / (leak * (1 - v/drv))`` elementwise - so
-    ``flip_mask(...)`` and a :class:`RetentionEngine` built from
-    :meth:`weak_cell_list` flip exactly the same cells.
+    scalar path is the differential oracle): every table entry uses the
+    *same* float64 expression structure as
+    :func:`repro.cell.retention.flip_time` - one shared (memoised) leakage
+    evaluation at the common supply, then ``C_NODE * v / (leak * (1 -
+    v/drv))`` - so ``flip_mask(...)`` and a :class:`RetentionEngine` built
+    from :meth:`weak_cell_list` flip exactly the same cells.
     """
 
     #: Marks the engine for the memory's vectorized wake-up path.
@@ -121,36 +124,106 @@ class ArrayRetentionEngine(RetentionEngine):
                 f"got {drv1.shape} and {drv0.shape}"
             )
         super().__init__((), symmetric_drv, corner, temp_c, cell)
-        self.drv1 = drv1
-        self.drv0 = drv0
+        dtype = np.min_scalar_type(max(drv1.size - 1, 0))
+        self.codes = np.arange(drv1.size, dtype=dtype).reshape(drv1.shape)
+        self.drv_table = np.stack([drv0.ravel(), drv1.ravel()])
+
+    @classmethod
+    def from_codes(
+        cls,
+        codes: np.ndarray,
+        drv1: np.ndarray,
+        drv0: np.ndarray,
+        symmetric_drv: float = 0.06,
+        corner: str = "typical",
+        temp_c: float = 25.0,
+        cell: CellDesign = DEFAULT_CELL,
+    ) -> "ArrayRetentionEngine":
+        """Engine over a bucket-code plane and per-bucket DRV tables.
+
+        Cell ``(a, b)`` has DRV_DS1 ``drv1[codes[a, b]]`` and DRV_DS0
+        ``drv0[codes[a, b]]``.
+        """
+        codes = np.asarray(codes)
+        drv1 = np.asarray(drv1, dtype=float)
+        drv0 = np.asarray(drv0, dtype=float)
+        if codes.ndim != 2 or codes.dtype.kind != "u":
+            raise ValueError(
+                f"codes must be an unsigned (n_words, word_bits) plane, "
+                f"got {codes.dtype} {codes.shape}"
+            )
+        if drv1.shape != drv0.shape or drv1.ndim != 1:
+            raise ValueError(
+                f"drv1/drv0 must be matching (B,) tables, "
+                f"got {drv1.shape} and {drv0.shape}"
+            )
+        if codes.size and int(codes.max()) >= len(drv1):
+            raise ValueError(
+                f"codes reach {int(codes.max())} but the tables hold "
+                f"{len(drv1)} buckets"
+            )
+        engine = cls.__new__(cls)
+        RetentionEngine.__init__(engine, (), symmetric_drv, corner, temp_c, cell)
+        engine.codes = codes
+        engine.drv_table = np.stack([drv0, drv1])
+        return engine
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self.drv1.shape
+        return self.codes.shape
 
-    def flip_times(self, vddcc: float, stored_bits: np.ndarray) -> np.ndarray:
-        """Per-cell flip time (s) at supply ``vddcc`` for the stored plane.
+    @property
+    def drv1(self) -> np.ndarray:
+        """Read-only per-cell DRV_DS1 plane."""
+        return self._plane(self.drv_table[1])
+
+    @property
+    def drv0(self) -> np.ndarray:
+        """Read-only per-cell DRV_DS0 plane."""
+        return self._plane(self.drv_table[0])
+
+    def _plane(self, table: np.ndarray) -> np.ndarray:
+        plane = table[self.codes]
+        plane.flags.writeable = False
+        return plane
+
+    def _gather(self, table: np.ndarray, stored_bits: np.ndarray) -> np.ndarray:
+        """``table[stored != 0, code]`` for every cell.
+
+        The index is one key plane ``stored * B + code`` in the smallest
+        unsigned dtype holding ``2B - 1``; fancy indexing casts it in
+        buffered chunks, never as a whole int64 plane.
+        """
+        buckets = table.shape[1]
+        dtype = np.min_scalar_type(max(2 * buckets - 1, 0))
+        stored = np.multiply(np.asarray(stored_bits) != 0, buckets, dtype=dtype)
+        return table.ravel()[np.add(stored, self.codes, dtype=dtype)]
+
+    def _table_times(self, vddcc: float) -> np.ndarray:
+        """Flip time (s) of every (stored bit, bucket) entry of the table.
 
         Same precedence as :func:`~repro.cell.retention.flip_time`: ``inf``
         where ``vddcc >= drv``, else 0 where ``vddcc <= 0``.
         """
         v = float(vddcc)
-        drv = np.where(np.asarray(stored_bits) != 0, self.drv1, self.drv0)
+        drv = self.drv_table
         below = v < drv
         if v <= 0.0:
             return np.where(below, 0.0, np.inf)
         leak = symmetric_leakage(v, self.corner, self.temp_c, self.cell)
-        # Whole-plane arithmetic, then a select: cheaper than gathering the
-        # below-DRV cells, and elementwise the same float64 expression.
         with np.errstate(divide="ignore", invalid="ignore"):
             deficit = 1.0 - v / drv
             return np.where(below, C_NODE * v / (leak * deficit), np.inf)
+
+    def flip_times(self, vddcc: float, stored_bits: np.ndarray) -> np.ndarray:
+        """Per-cell flip time (s) at supply ``vddcc`` for the stored plane."""
+        return self._gather(self._table_times(vddcc), stored_bits)
 
     def flip_mask(
         self, vddcc: float, ds_time: float, stored_bits: np.ndarray
     ) -> np.ndarray:
         """Boolean plane of cells that lose their data during this sleep."""
-        return float(ds_time) >= self.flip_times(vddcc, stored_bits)
+        return self._gather(float(ds_time) >= self._table_times(vddcc), stored_bits)
 
     def flips(self, vddcc, ds_time, stored_bit_of) -> List[Tuple[int, int]]:
         """Scalar-protocol compatibility: evaluate via the mask."""
@@ -165,8 +238,9 @@ class ArrayRetentionEngine(RetentionEngine):
     def weak_cell_list(self) -> List[WeakCell]:
         """Every cell as a :class:`WeakCell`, for the scalar oracle engine."""
         n_words, word_bits = self.shape
+        drv1, drv0 = self.drv1, self.drv0
         return [
-            WeakCell(addr, bit, float(self.drv1[addr, bit]), float(self.drv0[addr, bit]))
+            WeakCell(addr, bit, float(drv1[addr, bit]), float(drv0[addr, bit]))
             for addr in range(n_words)
             for bit in range(word_bits)
         ]

@@ -8,7 +8,8 @@ here:
   regenerates maps inside workers, so cross-process identity is what makes
   the cache sound);
 * the quantile-bucketed DRV map degenerates to exact per-cell solves when
-  the population is no larger than the bucket count;
+  the population is no larger than the bucket count, and its rank
+  selection equals a stable-argsort split index for index;
 * ``ArrayRetentionEngine.flip_mask`` equals the scalar engine cell by cell
   (the vectorized March executor's oracle pairing).
 """
@@ -22,12 +23,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.cell.drv as drv_module
 from repro.cell.drv import (
     clear_pair_memo,
     drv_ds_pair,
     drv_ds_pair_cached,
     drv_ds_pair_map,
+    rank_buckets,
     skew_scores,
 )
 from repro.cell.retention import flip_time
@@ -153,11 +157,11 @@ class TestDrvPairMap:
         equal the direct per-cell pairs bit for bit."""
         rng = np.random.default_rng(17)
         sig = rng.standard_normal((3, 6)) * 2.0
-        drv1, drv0 = drv_ds_pair_map(sig, buckets=8)
+        codes, drv1, drv0 = drv_ds_pair_map(sig, buckets=8)
         for i, row in enumerate(sig):
             variation = CellVariation(**dict(zip(CELL_TRANSISTORS, map(float, row))))
             pair = drv_ds_pair(variation)
-            assert (drv1[i], drv0[i]) == pair
+            assert (drv1[codes[i]], drv0[codes[i]]) == pair
 
     def test_bucketing_reuses_representatives(self):
         """More cells than buckets: every cell inherits its bucket
@@ -165,10 +169,10 @@ class TestDrvPairMap:
         the bucket count."""
         rng = np.random.default_rng(23)
         sig = rng.standard_normal((64, 6)) * 2.0
-        drv1, drv0 = drv_ds_pair_map(sig, buckets=4)
-        assert len(drv1) == len(drv0) == 64
-        assert len(np.unique(drv1)) <= 4
-        assert len(np.unique(drv0)) <= 4
+        codes, drv1, drv0 = drv_ds_pair_map(sig, buckets=4)
+        assert len(codes) == 64
+        assert len(np.unique(drv1[codes])) <= 4
+        assert len(np.unique(drv0[codes])) <= 4
 
     def test_map_is_deterministic(self):
         rng = np.random.default_rng(29)
@@ -178,8 +182,8 @@ class TestDrvPairMap:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_empty_population(self):
-        drv1, drv0 = drv_ds_pair_map(np.empty((0, 6)), buckets=4)
-        assert drv1.shape == drv0.shape == (0,)
+        codes, drv1, drv0 = drv_ds_pair_map(np.empty((0, 6)), buckets=4)
+        assert codes.shape == drv1.shape == drv0.shape == (0,)
 
     def test_pair_memo_hits(self):
         clear_pair_memo()
@@ -191,11 +195,106 @@ class TestDrvPairMap:
         finally:
             clear_pair_memo()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigmas_rejected(self, bad):
+        """A NaN used to sort last and silently get the 0.02 V / 1.2 V
+        search endpoints as its DRV pair."""
+        sig = np.zeros((5, 6))
+        sig[2, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            drv_ds_pair_map(sig, buckets=2)
+
+    @pytest.mark.parametrize("buckets", [0, -4])
+    def test_non_positive_buckets_rejected(self, buckets):
+        """Used to be clamped to one bucket without a word."""
+        with pytest.raises(ValueError, match="buckets"):
+            drv_ds_pair_map(np.zeros((5, 6)), buckets=buckets)
+        with pytest.raises(ValueError, match="buckets"):
+            drv_ds_pair_map(np.empty((0, 6)), buckets=buckets)
+
+
+def _argsort_buckets(scores, buckets):
+    """Reference: stable argsort split into ``array_split`` runs, each run's
+    middle cell its representative (the bucketing before rank selection)."""
+    order = np.argsort(scores, kind="stable")
+    codes = np.empty(len(scores), dtype=np.intp)
+    reps = []
+    for code, run in enumerate(np.array_split(order, min(buckets, len(scores)))):
+        codes[run] = code
+        reps.append(run[len(run) // 2])
+    return codes, np.array(reps, dtype=np.intp)
+
+
+#: Heavily tied scores: four integer levels, with -0.0 and 0.0 as one tie.
+_TIED = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+class TestRankSelection:
+    """``rank_buckets`` against the stable-argsort split it replaces.
+
+    ``np.partition`` dispatches to a SIMD select on AVX2/AVX-512 hosts, so
+    CI reruns this class with every numpy SIMD target off.
+    """
+
+    @staticmethod
+    def _check(scores, buckets):
+        codes, reps = rank_buckets(scores, buckets)
+        ref_codes, ref_reps = _argsort_buckets(scores, buckets)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(reps, ref_reps)
+        assert codes.dtype == np.min_scalar_type(len(ref_reps) - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 300))
+    def test_tied_scores_match_stable_argsort(self, data, n):
+        scores = np.array(data.draw(st.lists(_TIED, min_size=n, max_size=n)))
+        buckets = data.draw(st.integers(1, n + 3))
+        self._check(scores, buckets)
+
+    @pytest.mark.parametrize("buckets", [1, 2, 3, 4, 16, 255, 256, 4096])
+    def test_normal_draw_matches_stable_argsort(self, buckets):
+        scores = np.random.default_rng(43).standard_normal(4096)
+        self._check(scores, buckets)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60))
+    def test_map_solves_each_representative(self, data, n):
+        """Every bucket's table entry is the pair of its stable-argsort
+        representative, read through a stand-in for the memoised solver
+        that encodes the cell's sigma row."""
+        sig = np.array(data.draw(st.lists(
+            st.lists(_TIED, min_size=6, max_size=6), min_size=n, max_size=n,
+        )))
+        buckets = data.draw(st.integers(1, n + 3))
+        weights = 4.0 ** np.arange(len(CELL_TRANSISTORS))
+
+        def encode(variation, *_):
+            row = np.array([getattr(variation, t) for t in CELL_TRANSISTORS])
+            return float(row @ weights), -float(row @ weights)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drv_module, "drv_ds_pair_cached", encode)
+            codes, drv1, drv0 = drv_ds_pair_map(sig, buckets=buckets)
+        ref_codes, ref_reps = _argsort_buckets(skew_scores(sig), buckets)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(drv1, sig[ref_reps] @ weights)
+        assert np.array_equal(drv0, -(sig[ref_reps] @ weights))
+
 
 def _random_engine(rng, n_words=8, bits=4):
     drv1 = rng.uniform(0.02, 0.25, size=(n_words, bits))
     drv0 = rng.uniform(0.02, 0.25, size=(n_words, bits))
     return ArrayRetentionEngine(drv1, drv0, corner="typical", temp_c=-40.0)
+
+
+def _coded_engine(rng, n_words=8, bits=4, buckets=3):
+    """A bucket-code engine, as ``macro_retention`` builds them."""
+    codes = rng.integers(0, buckets, size=(n_words, bits), dtype=np.uint8)
+    drv1 = rng.uniform(0.02, 0.25, size=buckets)
+    drv0 = rng.uniform(0.02, 0.25, size=buckets)
+    return ArrayRetentionEngine.from_codes(
+        codes, drv1, drv0, corner="typical", temp_c=-40.0
+    )
 
 
 class TestArrayRetentionEngine:
@@ -209,20 +308,61 @@ class TestArrayRetentionEngine:
         """The oracle pairing: the array mask and a scalar engine built
         from ``weak_cell_list`` must flip exactly the same cells."""
         rng = np.random.default_rng(31)
-        engine = _random_engine(rng)
-        scalar = engine.to_scalar()
-        assert isinstance(scalar, RetentionEngine)
-        stored = rng.integers(0, 2, size=engine.shape, dtype=np.uint8)
-        for vddcc in (0.03, 0.08, 0.12, 0.3):
-            for ds_time in (1e-6, 1e-3, 1.0):
-                mask = engine.flip_mask(vddcc, ds_time, stored)
-                flips = scalar.flips(
-                    vddcc, ds_time, lambda a, b: int(stored[a, b])
-                )
-                expected = np.zeros(engine.shape, dtype=bool)
-                for addr, bit in flips:
-                    expected[addr, bit] = True
-                assert np.array_equal(mask, expected), (vddcc, ds_time)
+        for build in (_random_engine, _coded_engine):
+            engine = build(rng)
+            scalar = engine.to_scalar()
+            assert isinstance(scalar, RetentionEngine)
+            stored = rng.integers(0, 2, size=engine.shape, dtype=np.uint8)
+            for vddcc in (0.03, 0.08, 0.12, 0.3):
+                for ds_time in (1e-6, 1e-3, 1.0):
+                    mask = engine.flip_mask(vddcc, ds_time, stored)
+                    flips = scalar.flips(
+                        vddcc, ds_time, lambda a, b: int(stored[a, b])
+                    )
+                    expected = np.zeros(engine.shape, dtype=bool)
+                    for addr, bit in flips:
+                        expected[addr, bit] = True
+                    assert np.array_equal(mask, expected), (build, vddcc, ds_time)
+
+    def test_coded_engine_matches_its_planes(self):
+        """Table lookups equal the per-cell plane expression bit for bit:
+        a plane engine built from the coded engine's own ``drv1``/``drv0``
+        planes gives the same flip times and masks for both stored planes,
+        at v <= 0, at v equal to, between and above the table entries."""
+        codes = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 3, 0]], dtype=np.uint8)
+        drv1 = np.array([0.0, 0.05, 0.12, 0.2])
+        drv0 = np.array([0.08, 0.03, 0.2, 0.15])
+        coded = ArrayRetentionEngine.from_codes(
+            codes, drv1, drv0, corner="typical", temp_c=-40.0
+        )
+        plane = ArrayRetentionEngine(
+            coded.drv1, coded.drv0, corner="typical", temp_c=-40.0
+        )
+        assert np.array_equal(coded.drv1, drv1[codes])
+        assert np.array_equal(coded.drv0, drv0[codes])
+        ones = np.ones(codes.shape, dtype=np.uint8)
+        mixed = np.random.default_rng(47).integers(0, 2, codes.shape, dtype=np.uint8)
+        for vddcc in (-0.05, 0.0, 0.02, 0.04, 0.05, 0.1, 0.12, 0.17, 0.3):
+            for stored in (ones, 1 - ones, mixed):
+                assert np.array_equal(
+                    coded.flip_times(vddcc, stored), plane.flip_times(vddcc, stored)
+                ), vddcc
+                for ds_time in (0.0, 1e-6, 1e-3, 1.0):
+                    assert np.array_equal(
+                        coded.flip_mask(vddcc, ds_time, stored),
+                        plane.flip_mask(vddcc, ds_time, stored),
+                    ), (vddcc, ds_time)
+
+    def test_from_codes_validation(self):
+        tables = (np.full(2, 0.1), np.full(2, 0.2))
+        with pytest.raises(ValueError):  # code 2 has no table entry
+            ArrayRetentionEngine.from_codes(np.full((2, 2), 2, np.uint8), *tables)
+        with pytest.raises(ValueError):  # signed codes
+            ArrayRetentionEngine.from_codes(np.zeros((2, 2), np.int64), *tables)
+        with pytest.raises(ValueError):  # tables of different lengths
+            ArrayRetentionEngine.from_codes(
+                np.zeros((2, 2), np.uint8), np.full(2, 0.1), np.full(3, 0.2)
+            )
 
     def test_flip_times_structure(self):
         engine = ArrayRetentionEngine(
@@ -279,7 +419,9 @@ class TestArrayRetentionEngine:
         sram.fill(0b11)  # stored 1s are at risk (DRV1 = 0.3 V)
         sram.enter_deep_sleep(ds_time=10.0, vddcc=0.1)
         flipped = sram.wake_up()
-        assert flipped == [(a, b) for a in range(4) for b in range(2)]
+        assert [tuple(cell) for cell in np.argwhere(flipped)] == [
+            (a, b) for a in range(4) for b in range(2)
+        ]
         assert all(sram.read(a) == 0 for a in range(4))
 
 
@@ -324,6 +466,24 @@ class TestEscapeSummary:
         """With no injected functional faults, March m-LZ detects exactly
         the cells whose flip time fits inside the test's DS window."""
         assert summary["detected"] == summary["test_flips"]
+
+    @pytest.mark.parametrize("vddcc", [0.05, 0.105])
+    def test_table_statistics_match_plane_recomputation(self, vddcc):
+        """``weak``/``drv_max``/``drv_min`` come from the bucket tables and
+        code counts; they must equal the same statistics over the planes
+        (at 0.105 V only some buckets are weak)."""
+        spec = MacroSpec(words=64, bits=8, banks=2, seed=3)
+        summary = bank_escape_summary(
+            spec, 0, vddcc=vddcc, corner="typical", temp_c=-40.0, buckets=6
+        )
+        engine = macro_retention(
+            spec, bank=0, corner="typical", temp_c=-40.0, buckets=6
+        )
+        high = np.maximum(engine.drv1, engine.drv0)
+        low = np.minimum(engine.drv1, engine.drv0)
+        assert summary["weak"] == int((high > vddcc).sum())
+        assert summary["drv_max"] == float(np.max(high))
+        assert summary["drv_min"] == float(np.min(low))
 
     def test_cold_corner_has_escapes(self, summary):
         """The defining population of the paper's DS-time argument."""

@@ -36,9 +36,15 @@ def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np
 
     Lane ``i`` is the cell ``rows[i] = (variation, corner, temp_c)`` and the
     lobe ``which[i]`` (0 -> DRV_DS1, 1 -> DRV_DS0; a scalar applies to every
-    lane).  Equal cells share a session row and equal lanes one search; each
-    bisection step is one :meth:`~repro.cell.snm.SnmSession.snm_batch` call.
-    Each lane's value is bit for bit that of a bisection of that lane alone.
+    lane).  Equal cells share a session row and equal lanes one search.  The
+    two endpoints are exact :meth:`~repro.cell.snm.SnmSession.snm` calls;
+    each bisection step is one sign-mode
+    :meth:`~repro.cell.snm.SnmSession.snm_batch` call, which reads only the
+    sign of each lane's SNM.  Those signs are exact, so each lane's value is
+    bit for bit that of an exact bisection of that lane alone.
+
+    Raises ``ValueError`` for a non-finite sigma in any lane: it would come
+    back as a floor or ceiling exit that looks like a real DRV.
     """
     keys = [(variation, corner, float(temp_c)) for variation, corner, temp_c in rows]
     if not keys:
@@ -51,6 +57,8 @@ def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np
         for key, lobe in zip(keys, lobes)
     ])
     row, lobe = np.array(list(searches)).T
+    if not np.isfinite([sigma for variation, *_ in cells for _, sigma in variation.items()]).all():
+        raise ValueError("drv_lanes: every sigma must be finite")
     session = SnmSession(list(cells), cell)
     result = np.empty(len(searches))
     # Stable all the way down to the search floor.
@@ -63,12 +71,11 @@ def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np
     result[ceiling] = DRV_SEARCH_HI
     if active.any():
         row_on, lobe_on = row[active], lobe[active]
-        pick = np.arange(len(row_on))
         lo = np.full(len(row_on), DRV_SEARCH_LO)
         hi = np.full(len(row_on), DRV_SEARCH_HI)
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            stable = session.snm_batch(mid, row_on)[pick, lobe_on] > 0.0
+            stable = session.snm_batch(mid, row_on, lobe_on) > 0.0
             hi = np.where(stable, mid, hi)
             lo = np.where(stable, lo, mid)
         result[active] = 0.5 * (lo + hi)

@@ -20,7 +20,7 @@ segments because both coordinates are linear along a straight segment.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .. import obs
 from ..devices.mosfet import MosfetModel
 from ..devices.variation import CellVariation
 from .design import DEFAULT_CELL, CellDesign
-from .vtc import inverter_vtc, vtc_pair
+from .vtc import _BISECTION_STEPS, bisect_output, output_residual, supply_bracket, vtc_pair
 
 #: Input-grid resolution for the VTCs.
 _GRID_POINTS = 256
@@ -42,6 +42,15 @@ _DIAG_POINTS = 320
 #: 2-vCPU Xeon.
 _BLOCK_ROWS = 32
 
+#: VTC bisection steps of the sign mode's coarse pass.  Its brackets are
+#: ``vdd * 2^-22`` wide (~3e-7 V at 1.2 V).
+_COARSE_STEPS = 22
+
+#: A coarse SNM sign is certified when both |SNM| and the lobe's c-width
+#: exceed this many coarse bracket widths.  The coarse SNM lies within ~1.5
+#: widths of the exact one (DESIGN §24).
+_CERTIFY_MARGIN = 16
+
 #: (pull-up, pull-down, pass gate) of the inverter driving S, then SB.
 _INVERTERS = (("mpcc1", "mncc1", "mncc3"), ("mpcc2", "mncc2", "mncc4"))
 
@@ -53,12 +62,19 @@ class SnmSession:
     """SNM evaluator over ``R`` rows of (variation, corner, temperature).
 
     Builds each row's six device models once.  Every evaluation of ``k``
-    rows is **one** :func:`inverter_vtc` call on ``(2k, G)`` inputs: the
-    S-driving inverters stacked over the SB-driving ones, device parameters
-    as ``(2k, 1)`` columns (:meth:`MosfetModel.stack`).  Each row's result
-    is bit-identical to a 1-row session's: every VTC step is elementwise,
-    rows never mix, and ``np.linspace`` with an array endpoint matches its
-    scalar output.
+    rows stacks both half-cell VTCs into :func:`~repro.cell.vtc.bisect_output`
+    on ``(2k, G)`` inputs: the S-driving inverters over the SB-driving ones,
+    device parameters as ``(2k, 1)`` columns (:meth:`MosfetModel.stack`).
+    Each row's result is bit-identical to a 1-row session's: every VTC step
+    is elementwise, rows never mix, and ``np.linspace`` with an array
+    endpoint matches its scalar output.
+
+    :meth:`snm_batch` with ``lobes`` is the DRV search's sign mode: it stops
+    each VTC after :data:`_COARSE_STEPS` steps, keeps the lanes whose SNM
+    sign the coarse curves already settle, and resumes only the rest to the
+    full :data:`~repro.cell.vtc._BISECTION_STEPS` (DESIGN §24).  Without
+    ``lobes`` every row resumes, so :meth:`snm` and :meth:`snm_batch` are
+    exact.
     """
 
     def __init__(
@@ -72,39 +88,101 @@ class SnmSession:
         self.points = points
         self._models = [cell.models(*row) for row in self.rows]
 
-    def _separations(self, vdds: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-        """``(len(rows), 2)`` (SNM_DS1, SNM_DS0) of ``rows[i]`` at ``vdds[i]``."""
-        out = np.empty((len(rows), 2))
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            k = len(block)
-            vdd = vdds[start:start + k]
-            grid = np.linspace(0.0, vdd, self.points, axis=-1)
-            devices = [
-                MosfetModel.stack([
-                    self._models[r][inv[role]] for inv in _INVERTERS for r in block
-                ])
-                for role in range(3)
-            ]
-            vtcs = inverter_vtc(np.tile(grid, (2, 1)), np.tile(vdd, 2)[:, None], *devices)
+    def _stacked(self, block: Sequence[int]) -> List[MosfetModel]:
+        """(pull-up, pull-down, pass gate) of ``block``'s S-driving over SB-driving inverters."""
+        return [
+            MosfetModel.stack([self._models[r][inv[role]] for inv in _INVERTERS for r in block])
+            for role in range(3)
+        ]
+
+    def _block(
+        self, vdd: np.ndarray, block: Sequence[int], lobes: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """One row block: ``(k, 2)`` exact SNMs, or ``(k,)`` sign-certified lobe SNMs."""
+        k = len(block)
+        grid = np.linspace(0.0, vdd, self.points, axis=-1)
+        inputs = np.tile(grid, (2, 1))
+        supplies = np.tile(vdd, 2)[:, None]
+        lo, hi = supply_bracket(inputs, supplies)
+        residual = output_residual(inputs, supplies, *self._stacked(block))
+        lo, hi = bisect_output(residual, lo, hi, _COARSE_STEPS)
+        if lobes is None:
+            out = np.empty((k, 2))
+            refine = np.arange(k)
+        else:
+            # The exact curves lie inside the coarse brackets, so the coarse
+            # SNM is within ~1.5 bracket widths of the exact one.
+            out = np.empty(k)
+            widths = np.empty(k)
+            coarse = 0.5 * (lo + hi)
             for i in range(k):
-                out[start + i] = _lobe_separations(grid[i], vtcs[i], vtcs[k + i])
+                curves = _diagonal_curves(grid[i], coarse[i], coarse[k + i])
+                out[i], widths[i] = _lobe(curves, lobes[i])
+            margin = _CERTIFY_MARGIN * vdd * 2.0 ** -_COARSE_STEPS
+            refine = np.flatnonzero(~((np.abs(out) > margin) & (widths > margin)))
+            obs.count("snm.certified", k - len(refine))
+            obs.count("snm.refined", len(refine))
+            if not len(refine):
+                return out
+        m = len(refine)
+        if m < k:
+            take = np.concatenate([refine, k + refine])
+            residual = output_residual(
+                inputs[take], supplies[take], *self._stacked([block[i] for i in refine])
+            )
+            lo, hi = lo[take], hi[take]
+        lo, hi = bisect_output(residual, lo, hi, _BISECTION_STEPS - _COARSE_STEPS)
+        vtcs = 0.5 * (lo + hi)
+        for j, i in enumerate(refine):
+            if lobes is None:
+                out[i] = _lobe_separations(grid[i], vtcs[j], vtcs[m + j])
+            else:
+                out[i] = _lobe(_diagonal_curves(grid[i], vtcs[j], vtcs[m + j]), lobes[i])[0]
+        return out
+
+    def _separations(
+        self, vdds: np.ndarray, rows: Sequence[int], lobes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`_block` over blocks of at most :data:`_BLOCK_ROWS` rows."""
+        out = np.empty((len(rows), 2) if lobes is None else len(rows))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            end = start + _BLOCK_ROWS
+            out[start:end] = self._block(
+                vdds[start:end], rows[start:end], None if lobes is None else lobes[start:end]
+            )
         return out
 
     def snm(self, vdd_cell: float) -> np.ndarray:
-        """``(R, 2)`` array of every row's (SNM_DS1, SNM_DS0) at one supply."""
+        """``(R, 2)`` array of every row's exact (SNM_DS1, SNM_DS0) at one supply."""
         obs.count("snm.evaluations", len(self.rows))
         return self._separations(np.full(len(self.rows), float(vdd_cell)), range(len(self.rows)))
 
-    def snm_batch(self, vdds, rows: Sequence[int]) -> np.ndarray:
-        """``(k, 2)`` array of (SNM_DS1, SNM_DS0): row ``rows[i]`` at ``vdds[i]``.
+    def snm_batch(self, vdds, rows: Sequence[int], lobes=None) -> np.ndarray:
+        """SNMs of row ``rows[i]`` at supply ``vdds[i]``.
 
         ``rows`` holds session-row indices and may repeat one (two lobes of
-        one cell bisecting at different supplies).
+        one cell bisecting at different supplies).  Without ``lobes``,
+        returns the ``(k, 2)`` exact (SNM_DS1, SNM_DS0).  With ``lobes``
+        (``lobes[i]`` 0 -> SNM_DS1, 1 -> SNM_DS0), returns a ``(k,)`` array
+        whose signs are exact but whose values are exact only where the
+        coarse pass could not settle the sign: the DRV search reads nothing
+        else.  Counts ``snm.certified`` and ``snm.refined`` per lane then.
+
+        Raises ``ValueError`` unless ``vdds`` (and ``lobes``) hold one entry
+        per row and every lobe is 0 or 1.
         """
         vdds = np.atleast_1d(np.asarray(vdds, dtype=float))
+        if vdds.shape != (len(rows),):
+            raise ValueError(f"snm_batch: {vdds.size} supplies for {len(rows)} rows")
+        if lobes is not None:
+            lobes = np.asarray(lobes)
+            if lobes.shape != (len(rows),):
+                raise ValueError(f"snm_batch: {lobes.size} lobes for {len(rows)} rows")
+            if not ((lobes == 0) | (lobes == 1)).all():
+                raise ValueError("snm_batch: every lobe must be 0 (DS1) or 1 (DS0)")
+            lobes = lobes.astype(int)
         obs.count("snm.evaluations", vdds.size)
-        return self._separations(vdds, rows)
+        return self._separations(vdds, rows, lobes)
 
 
 def butterfly_curves(
@@ -126,10 +204,10 @@ def butterfly_curves(
     return {"s_a": grid, "sb_a": sb_of_s, "s_b": s_of_sb, "sb_b": grid}
 
 
-def _lobe_separations(
+def _diagonal_curves(
     grid: np.ndarray, s_of_sb: np.ndarray, sb_of_s: np.ndarray
-) -> Tuple[float, float]:
-    """Return (snm1, snm0): max anti-diagonal separation per lobe, halved."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both butterfly curves as ``(c_a, v_a, c_b, v_b)``, ``c`` increasing."""
     # Curve A: (s, g(s)) - diagonal coordinate increases with s.
     c_a = grid - sb_of_s
     v_a = grid + sb_of_s
@@ -137,23 +215,37 @@ def _lobe_separations(
     # so np.interp sees increasing x.
     c_b = (s_of_sb - grid)[::-1]
     v_b = (s_of_sb + grid)[::-1]
+    return c_a, v_a, c_b, v_b
 
-    c_min = max(float(c_a[0]), float(c_b[0]))
-    c_max = min(float(c_a[-1]), float(c_b[-1]))
 
-    def lobe(limit_lo: float, limit_hi: float, top_first: bool) -> float:
-        if limit_hi <= limit_lo:
-            return -1.0  # lobe entirely missing: strongly "closed"
-        c = np.linspace(limit_lo, limit_hi, _DIAG_POINTS)
-        va = np.interp(c, c_a, v_a)
-        vb = np.interp(c, c_b, v_b)
-        separation = (vb - va) if top_first else (va - vb)
-        return float(np.max(separation)) / 2.0
+def _lobe(curves, lobe: int) -> Tuple[float, float]:
+    """(SNM, c-width) of lobe 0 (stored '1', ``c > 0``) or 1 (stored '0', ``c < 0``).
 
+    The SNM is the lobe's max anti-diagonal separation, halved, or ``-1.0``
+    when the lobe is missing (c-width ``<= 0``).
+    """
+    c_a, v_a, c_b, v_b = curves
     eps = 1e-6
-    snm1 = lobe(eps, c_max, top_first=True)
-    snm0 = lobe(c_min, -eps, top_first=False)
-    return snm1, snm0
+    if lobe == 0:
+        limit_lo, limit_hi = eps, min(float(c_a[-1]), float(c_b[-1]))
+    else:
+        limit_lo, limit_hi = max(float(c_a[0]), float(c_b[0])), -eps
+    width = limit_hi - limit_lo
+    if limit_hi <= limit_lo:
+        return -1.0, width  # lobe entirely missing: strongly "closed"
+    c = np.linspace(limit_lo, limit_hi, _DIAG_POINTS)
+    va = np.interp(c, c_a, v_a)
+    vb = np.interp(c, c_b, v_b)
+    separation = (vb - va) if lobe == 0 else (va - vb)
+    return float(np.max(separation)) / 2.0, width
+
+
+def _lobe_separations(
+    grid: np.ndarray, s_of_sb: np.ndarray, sb_of_s: np.ndarray
+) -> Tuple[float, float]:
+    """Return (snm1, snm0): max anti-diagonal separation per lobe, halved."""
+    curves = _diagonal_curves(grid, s_of_sb, sb_of_s)
+    return _lobe(curves, 0)[0], _lobe(curves, 1)[0]
 
 
 def snm_ds(

@@ -13,11 +13,17 @@ in the output voltage.  Only the output (every device's drain) moves during
 the bisection, so each device's drain-independent half of the EKV current is
 computed once per solve (:meth:`MosfetModel.drain_sweep`); the residual is
 bit-identical to summing three ``ids_value`` calls.
+
+The bisection's whole state is its bracket ``(lo, hi)``: :func:`bisect_output`
+advances a bracket by any number of steps, so a solve stopped after ``s``
+steps and resumed for ``44 - s`` more ends on the same bits as 44 steps in
+one go.  :class:`~repro.cell.snm.SnmSession` uses that to stop most of the
+DRV search's VTCs early (DESIGN §24).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -26,6 +32,48 @@ from ..devices.mosfet import MosfetModel
 #: Bisection iterations; the final bracket is vdd * 2^-44 (~6e-14 V at
 #: 1.1 V), far below solver noise.
 _BISECTION_STEPS = 44
+
+
+def supply_bracket(v_in, vdd_cell) -> Tuple[np.ndarray, np.ndarray]:
+    """The starting bracket ``[0, vdd]`` at the broadcast shape of the inputs.
+
+    Raises ``ValueError`` for a negative or NaN supply: the bracket would be
+    inverted, or the curve NaN.
+    """
+    vdd_cell = np.asarray(vdd_cell, dtype=float)
+    if not np.all(vdd_cell >= 0.0):
+        bad = vdd_cell[~(vdd_cell >= 0.0)].flat[0]
+        raise ValueError(f"inverter_vtc: negative cell supply or NaN: {bad:g} V")
+    shape = np.broadcast_shapes(np.shape(v_in), vdd_cell.shape)
+    return np.zeros(shape), np.broadcast_to(vdd_cell, shape).astype(float, copy=True)
+
+
+def output_residual(
+    v_in, vdd_cell, pullup: MosfetModel, pulldown: MosfetModel, pass_gate: MosfetModel
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``v_out -> `` KCL residual at a half-cell's output, gate halves computed once.
+
+    Valid for ``0 <= v_out <= vdd``, the drain side of all three devices.
+    """
+    i_down = pulldown.drain_sweep(v_in, 0.0)
+    i_pass = pass_gate.drain_sweep(0.0, 0.0)
+    i_up = pullup.drain_sweep(v_in, vdd_cell)
+    return lambda v_out: i_down(v_out) + i_pass(v_out) + i_up(v_out)
+
+
+def bisect_output(
+    residual: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, steps: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``steps`` more bisection steps on the bracket ``(lo, hi)``; returns the new one.
+
+    The root stays inside every bracket, and each step halves it.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        too_high = residual(mid) > 0.0
+        hi = np.where(too_high, mid, hi)
+        lo = np.where(too_high, lo, mid)
+    return lo, hi
 
 
 def inverter_vtc(
@@ -41,25 +89,14 @@ def inverter_vtc(
     (corner, temperature, Vth offset).  ``vdd_cell`` may be a scalar or an
     array broadcastable against ``v_in`` (e.g. a ``(V, 1)`` supply column
     against a ``(V, G)`` input grid for batched-supply butterfly curves).
-    Returns an array of the broadcast shape.  Raises ``ValueError`` for a
-    negative supply: the bracket ``[0, vdd]`` would be inverted.
+    Returns an array of the broadcast shape: the midpoint of the bracket
+    after :data:`_BISECTION_STEPS` steps.  Raises ``ValueError`` for a
+    negative or NaN supply (see :func:`supply_bracket`).
     """
     v_in = np.asarray(v_in, dtype=float)
-    vdd_cell = np.asarray(vdd_cell, dtype=float)
-    if np.any(vdd_cell < 0.0):
-        raise ValueError(f"inverter_vtc: negative cell supply {vdd_cell.min():g} V")
-    shape = np.broadcast_shapes(v_in.shape, vdd_cell.shape)
-    lo = np.zeros(shape)
-    hi = np.broadcast_to(vdd_cell, shape).astype(float, copy=True)
-    # Every mid stays in [0, vdd]: the drain side of all three devices.
-    i_down = pulldown.drain_sweep(v_in, 0.0)
-    i_pass = pass_gate.drain_sweep(0.0, 0.0)
-    i_up = pullup.drain_sweep(v_in, vdd_cell)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        too_high = i_down(mid) + i_pass(mid) + i_up(mid) > 0.0
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
+    lo, hi = supply_bracket(v_in, vdd_cell)
+    residual = output_residual(v_in, vdd_cell, pullup, pulldown, pass_gate)
+    lo, hi = bisect_output(residual, lo, hi, _BISECTION_STEPS)
     return 0.5 * (lo + hi)
 
 

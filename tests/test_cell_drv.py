@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cell import snm as snm_module
 from repro.analysis.case_studies import case_study, table1_rows
 from repro.cell import (
     DEFAULT_CELL,
@@ -21,10 +22,13 @@ from repro.cell.drv import (
     drv_lanes,
     worst_over_grid,
 )
-from repro.cell.snm import _BLOCK_ROWS, _lobe_separations
-from repro.cell.vtc import vtc_pair
+from repro.cell.snm import _BLOCK_ROWS, _COARSE_STEPS, _lobe_separations
+from repro.cell.vtc import inverter_vtc, vtc_pair
 from repro.devices import CellVariation
+from repro.devices.corners import CORNERS
 from repro.devices.pvt import PVT
+from repro.verify.artifacts import build_payload, scope_for
+from repro.verify.goldens import default_goldens_dir, load_golden
 from repro.devices.variation import CELL_TRANSISTORS
 
 SYM = CellVariation.symmetric()
@@ -230,3 +234,125 @@ class TestWorstOverGrid:
         assert rec.histograms["drv.bisection_steps"].count == 3
         assert case_study("CS2-0").worst_drv(grid)[1] is first
         assert worst_over_grid([0.1, 0.3, 0.3], grid) == (0.3, first)
+
+
+# ------------------------------------------------------------ sign mode
+#: A few lanes of every exit path, for the per-setting reruns below.
+SIGN_LANES = MIXED_LANES[::4]
+
+
+def _lane_rows(lanes):
+    return [(v, c, t) for v, c, t, _, _ in lanes], [lobe for *_, lobe, _ in lanes]
+
+
+@pytest.fixture(scope="module")
+def sign_reference():
+    return np.array([_reference_drv(v, c, t, w) for v, c, t, w, _ in SIGN_LANES])
+
+
+class TestSignCertifiedSteps:
+    """Sign-mode ``snm_batch``: coarse VTCs settle most signs, the rest resume."""
+
+    @pytest.mark.parametrize("coarse_steps", [1, 8, 22, 44])
+    def test_drv_bits_at_any_coarse_depth(self, monkeypatch, sign_reference, coarse_steps):
+        monkeypatch.setattr(snm_module, "_COARSE_STEPS", coarse_steps)
+        rows, lobes = _lane_rows(SIGN_LANES)
+        with obs.recording() as rec:
+            values = drv_lanes(rows, lobes)
+        assert np.array_equal(values, sign_reference)
+        certified = rec.counters["snm.certified"]
+        refined = rec.counters["snm.refined"]
+        if coarse_steps == 1:  # a half-supply bracket certifies nothing
+            assert certified == 0 and refined > 0
+        if coarse_steps == 44:  # nothing left to resume
+            assert refined == 0 and certified > 0
+
+    def test_every_sign_evaluation_is_certified_or_refined(self, mixed_call):
+        _, rec = mixed_call
+        paths = [path for *_, path in MIXED_LANES]
+        # The bisected lanes are all distinct searches: 16 sign steps each.
+        sign_evaluations = 16 * paths.count("bisect")
+        assert rec.counters["snm.certified"] + rec.counters["snm.refined"] == sign_evaluations
+        assert rec.counters["snm.refined"] > 0  # the resume path ran
+
+    def test_signs_match_exact_next_to_each_drv(self, mixed_call):
+        values, _ = mixed_call
+        bisected = [i for i, lane in enumerate(MIXED_LANES) if lane[-1] == "bisect"]
+        cells = sorted({MIXED_LANES[i][:3] for i in bisected}, key=repr)
+        session = SnmSession(cells)
+        rows, lobes, vdds = [], [], []
+        for i in bisected:
+            for offset in (1, 4, 64, -1, -4, -64):
+                rows.append(cells.index(MIXED_LANES[i][:3]))
+                lobes.append(MIXED_LANES[i][3])
+                vdds.append(values[i] + offset * 2.0 ** -30)
+        signed = session.snm_batch(vdds, rows, lobes)
+        exact = session.snm_batch(vdds, rows)[np.arange(len(rows)), lobes]
+        assert np.array_equal(signed > 0.0, exact > 0.0)
+
+    def test_coarse_snm_within_one_bracket_width(self, monkeypatch):
+        """The certificate's premise: coarse and exact SNMs differ by <= w."""
+        rng = np.random.default_rng(19)
+        n = 50
+        cells = [
+            (CellVariation(*rng.normal(0.0, 2.0, len(CELL_TRANSISTORS))),
+             str(rng.choice(sorted(CORNERS))), float(rng.choice([-40.0, 25.0, 125.0])))
+            for _ in range(n)
+        ]
+        vdds = rng.uniform(0.05, 1.2, n)
+        lobes = rng.integers(0, 2, n)
+        session = SnmSession(cells)
+        exact = session.snm_batch(vdds, range(n))[np.arange(n), lobes]
+        # With no margin every lane whose coarse lobe is open is certified,
+        # so the call returns the coarse SNMs.
+        monkeypatch.setattr(snm_module, "_CERTIFY_MARGIN", 0)
+        coarse = session.snm_batch(vdds, range(n), lobes)
+        present = exact != -1.0  # a missing lobe has no SNM to bound
+        width = vdds * 2.0 ** -_COARSE_STEPS
+        assert present.sum() > n // 2
+        assert np.all(np.abs(coarse - exact)[present] <= width[present])
+
+
+class TestBatchInputs:
+    ROWS = [(SYM, "typical", 25.0), (CS2_0, "fs", 125.0)]
+
+    def test_supply_count_must_match_rows(self):
+        session = SnmSession(self.ROWS)
+        with obs.recording() as rec, pytest.raises(ValueError, match="3 supplies for 2 rows"):
+            session.snm_batch([0.3, 0.4, 0.5], [0, 1])
+        assert "snm.evaluations" not in rec.counters
+        with pytest.raises(ValueError, match="1 supplies for 2 rows"):
+            session.snm_batch([0.3], [0, 1])
+
+    def test_lobes_must_match_rows_and_be_0_or_1(self):
+        session = SnmSession(self.ROWS)
+        with pytest.raises(ValueError, match="1 lobes for 2 rows"):
+            session.snm_batch([0.3, 0.4], [0, 1], [0])
+        for bad in ([0, 2], [-1, 0], [0.5, 1]):
+            with pytest.raises(ValueError, match="lobe"):
+                session.snm_batch([0.3, 0.4], [0, 1], bad)
+
+
+class TestNonFiniteInputs:
+    def test_nan_sigma_raises_instead_of_exiting(self):
+        with pytest.raises(ValueError, match="finite"):
+            drv_ds_pair(CellVariation(mncc1=float("nan")))
+        with pytest.raises(ValueError, match="finite"):
+            drv_lanes([(SYM, "typical", 25.0), (CellVariation(mpcc2=np.inf), "fs", 125.0)], 0)
+
+    def test_nan_supply_raises_in_inverter_vtc(self):
+        m = DEFAULT_CELL.models(SYM, "typical", 25.0)
+        devices = (m["mpcc1"], m["mncc1"], m["mncc3"])
+        with pytest.raises(ValueError, match="NaN"):
+            inverter_vtc(np.array([0.0, 0.1]), float("nan"), *devices)
+        with pytest.raises(ValueError, match="NaN"):
+            inverter_vtc(np.array([0.0, 0.1]), np.array([[0.5], [np.nan]]), *devices)
+
+
+class TestGoldenBits:
+    """The DRV artifacts equal their goldens exactly, not within tolerance."""
+
+    @pytest.mark.parametrize("artifact", ["table1", "fig4", "macro"])
+    def test_tiny_payload_equals_golden(self, artifact):
+        golden = load_golden(default_goldens_dir(), "tiny", artifact)
+        assert build_payload(artifact, scope_for("tiny")) == golden["payload"]

@@ -24,7 +24,7 @@ from .vtc import inverter_vtc
 _STATE_ITERATIONS = 24
 
 
-def _hold_state(v, models):
+def _hold_state(v, models, on_round=None):
     """Internal node voltages (S, SB) of the cell holding '1' at supply ``v``.
 
     Found by iterating the composed VTC map from the S-high corner; the map
@@ -35,6 +35,11 @@ def _hold_state(v, models):
     the bits of the full ``_STATE_ITERATIONS`` loop.  Below ~0.1 V the
     iterate may not repeat within the cap; the last round is returned, as
     before, and the call counts once as ``leakage.hold.capped``.
+
+    ``on_round(s, sb)``, when given, sees the state after every full round
+    that did not repeat; a true return abandons the solve and the call
+    returns ``None``.  :func:`repro.cell.retention.retains` uses it to
+    settle a decision from a bound on every later state (DESIGN §25).
     """
     v = np.asarray(v, dtype=float)
     s, sb = v.copy(), None
@@ -47,8 +52,40 @@ def _hold_state(v, models):
         if np.array_equal(s_next, s):
             return s_next, sb
         s = s_next
+        if on_round is not None and on_round(s, sb):
+            return None
     obs.count("leakage.hold.capped")
     return s, sb
+
+
+def supply_current(models, s, sb, v):
+    """Current the cell draws from its supply ``v`` with internal nodes at (S, SB).
+
+    Every leakage path inside the cell (cross inverter and pass-gate) is fed
+    through one of the two pull-up PMOS devices, so this is their negated
+    drain->source sum (negative when sourcing the node).  Each term falls as
+    its PMOS's gate or drain rises, so the sum falls in both ``s`` and
+    ``sb``.
+    """
+    i_up1 = models["mpcc1"].ids_value(sb, s, v)
+    i_up2 = models["mpcc2"].ids_value(s, sb, v)
+    return -(i_up1 + i_up2)
+
+
+def hold_leakage(v, models, on_round=None):
+    """Supply current at the hold state for instantiated ``models`` (A).
+
+    The body of :func:`cell_leakage_current`; returns ``None`` when
+    ``on_round`` abandons the hold-state solve (see :func:`_hold_state`).
+    """
+    v = np.asarray(v, dtype=float)
+    state = _hold_state(v, models, on_round)
+    if state is None:
+        return None
+    total = np.asarray(supply_current(models, *state, v))
+    if total.ndim == 0:
+        return float(total)
+    return total
 
 
 def cell_leakage_current(
@@ -62,20 +99,9 @@ def cell_leakage_current(
 
     ``v`` may be a scalar or an array (the regulator load curve evaluates a
     whole voltage grid at once).  The supply current is the sum of the two
-    pull-up source currents - every leakage path inside the cell (cross
-    inverter and pass-gate) is fed through one of the two PMOS devices.
+    pull-up source currents (:func:`supply_current`) at the hold state.
     """
-    v = np.asarray(v, dtype=float)
-    models = cell.models(variation, corner, temp_c)
-    s, sb = _hold_state(v, models)
-    # PMOS drain->source currents are negative when sourcing the node, so the
-    # supply current drawn from vddc is their negated sum.
-    i_up1 = models["mpcc1"].ids_value(sb, s, v)
-    i_up2 = models["mpcc2"].ids_value(s, sb, v)
-    total = np.asarray(-(i_up1 + i_up2))
-    if total.ndim == 0:
-        return float(total)
-    return total
+    return hold_leakage(v, cell.models(variation, corner, temp_c))
 
 
 def array_leakage_current(

@@ -33,6 +33,11 @@ from ..devices.mosfet import MosfetModel
 #: 1.1 V), far below solver noise.
 _BISECTION_STEPS = 44
 
+#: Steps of the tied-input bisection in :func:`metastable_bracket`: a
+#: ``vdd * 2^-12`` bracket (~0.07 mV at 0.3 V) moves a leakage bound by
+#: well under 1%.
+_METASTABLE_STEPS = 12
+
 
 def supply_bracket(v_in, vdd_cell) -> Tuple[np.ndarray, np.ndarray]:
     """The starting bracket ``[0, vdd]`` at the broadcast shape of the inputs.
@@ -98,6 +103,32 @@ def inverter_vtc(
     residual = output_residual(v_in, vdd_cell, pullup, pulldown, pass_gate)
     lo, hi = bisect_output(residual, lo, hi, _BISECTION_STEPS)
     return 0.5 * (lo + hi)
+
+
+def metastable_bracket(
+    vdd_cell,
+    pullup: MosfetModel,
+    pulldown: MosfetModel,
+    pass_gate: MosfetModel,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bracket ``(lo, hi)`` on the fixed point ``v_m = g(v_m)`` of one half-cell VTC g.
+
+    A tied-input bisection: the residual at ``v_in = v_out = x`` is positive
+    exactly when ``x > g(x)`` (the KCL residual rises with the output), and
+    ``x - g(x)`` rises strictly because g never does, so the sign changes
+    once, at ``v_m``.  For a symmetric cell ``v_m`` is the metastable point
+    ``S = SB``, which bounds the hold-state iterates that
+    :func:`repro.cell.retention.retains` certifies from (DESIGN §25).
+    :data:`_METASTABLE_STEPS` steps from ``[0, vdd]`` leave a bracket
+    ``vdd * 2^-12`` wide; every step re-forms the gate halves, since the
+    gate moves with the drain.
+    """
+    lo, hi = supply_bracket(0.0, vdd_cell)
+
+    def tied(x):
+        return output_residual(x, vdd_cell, pullup, pulldown, pass_gate)(x)
+
+    return bisect_output(tied, lo, hi, _METASTABLE_STEPS)
 
 
 def vtc_pair(

@@ -350,9 +350,10 @@ class TestNonFiniteInputs:
 
 
 class TestGoldenBits:
-    """The DRV artifacts equal their goldens exactly, not within tolerance."""
+    """The DRV artifacts, and Table II (certified retention decisions, DESIGN
+    §25), equal their goldens exactly, not within tolerance."""
 
-    @pytest.mark.parametrize("artifact", ["table1", "fig4", "macro"])
+    @pytest.mark.parametrize("artifact", ["table1", "fig4", "macro", "table2"])
     def test_tiny_payload_equals_golden(self, artifact):
         golden = load_golden(default_goldens_dir(), "tiny", artifact)
         assert build_payload(artifact, scope_for("tiny")) == golden["payload"]

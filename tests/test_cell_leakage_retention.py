@@ -7,9 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.cell import array_leakage_current, cell_leakage_current, flip_time, retains
-from repro.cell.retention import clear_sym_leak_memo, symmetric_leakage
+from repro.cell import (
+    DEFAULT_CELL,
+    array_leakage_current,
+    cell_leakage_current,
+    flip_time,
+    retains,
+    retention,
+)
+from repro.cell.leakage import _hold_state, supply_current
+from repro.cell.retention import C_NODE, clear_sym_leak_memo, symmetric_leakage
+from repro.cell.vtc import inverter_vtc, metastable_bracket
 from repro.devices import CellVariation
+from repro.verify.artifacts import build_payload, scope_for
+from repro.verify.goldens import default_goldens_dir, load_golden
 
 
 class TestLeakage:
@@ -166,3 +177,195 @@ class TestSymmetricLeakage:
             temp_c=-40.0, buckets=2,
         )
         assert len(calls) == 1
+
+
+class TestRetentionInputs:
+    """A NaN DRV or deep-sleep time raises instead of reading as a DRF."""
+
+    def test_nan_drv_raises(self):
+        with pytest.raises(ValueError, match="DRV"):
+            retains(0.3, math.nan, 1e-3)
+        with pytest.raises(ValueError, match="DRV"):
+            flip_time(0.3, math.nan)
+
+    @pytest.mark.parametrize("ds_time", [math.nan, -1e-3])
+    def test_nan_or_negative_ds_time_raises(self, ds_time):
+        with pytest.raises(ValueError, match="deep-sleep"):
+            retains(0.3, 0.4, ds_time)
+
+    def test_zero_ds_time_retains(self):
+        clear_sym_leak_memo()
+        with obs.recording() as rec:
+            assert retains(0.3, 0.4, 0.0)  # settled by the box: no division by 0
+        assert rec.counters["retention.certified"] == 1
+        assert retains(0.3, 0.4, 0.0) == (0.0 < flip_time(0.3, 0.4))
+
+
+#: (corner, temp_c) points for the certified-decision tests.
+PVTS = (("fs", 125.0), ("typical", 25.0), ("sf", -40.0))
+
+
+def _exact_retains(v, drv, ds_time, corner, temp_c):
+    """The decision by definition: one full hold-state solve, no memo."""
+    if v >= drv:
+        return True
+    leak = max(cell_leakage_current(v, CellVariation.symmetric(), corner, temp_c), 1e-18)
+    return ds_time < C_NODE * v / (leak * (1.0 - v / drv))
+
+
+def _rounds(v, models):
+    """Every non-repeating round's state, then the state ``_hold_state`` returns."""
+    seen = []
+    final = _hold_state(v, models, lambda s, sb: seen.append((float(s), float(sb))))
+    return seen, tuple(float(x) for x in final)
+
+
+class TestCertifiedRetention:
+    """``retains`` settled from the hold-state box gives the exact booleans."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        clear_sym_leak_memo()
+        yield
+        clear_sym_leak_memo()
+
+    @pytest.mark.parametrize("corner, temp_c", PVTS + (("typical", -40.0),))
+    def test_symmetric_halves_have_the_same_vtc(self, corner, temp_c):
+        """The box needs one g for both halves: equal bits, not just values."""
+        m = DEFAULT_CELL.models(CellVariation.symmetric(), corner, temp_c)
+        grid = np.linspace(0.0, 1.1, 221)
+        supplies = np.array([[0.05], [0.16], [0.3], [0.7], [1.1]])
+        for vdd in (0.12, 0.4, supplies):
+            v_in = np.minimum(grid, vdd)
+            one = inverter_vtc(v_in, vdd, m["mpcc1"], m["mncc1"], m["mncc3"])
+            two = inverter_vtc(v_in, vdd, m["mpcc2"], m["mncc2"], m["mncc4"])
+            assert one.tobytes() == two.tobytes()
+
+    def test_every_later_state_lies_in_the_box(self):
+        """fs/125 C: capped supplies beside fast-converging ones."""
+        m = DEFAULT_CELL.models(CellVariation.symmetric(), "fs", 125.0)
+        capped = 0
+        for v in (0.12, 0.14, 0.16, 0.18, 0.3, 0.4, 0.5, 0.6, 0.7):
+            with obs.recording() as rec:
+                seen, final = _rounds(v, m)
+            capped += rec.counters.get("leakage.hold.capped", 0)
+            vm_lo, vm_hi = (float(x) for x in metastable_bracket(v, m["mpcc1"], m["mncc1"], m["mncc3"]))
+            exact = max(cell_leakage_current(v, CellVariation.symmetric(), "fs", 125.0), 1e-18)
+            assert exact == max(float(supply_current(m, *final, v)), 1e-18)
+            assert seen, v
+            for k, (s_k, sb_k) in enumerate(seen):
+                for s, sb in seen[k:] + [final]:
+                    assert vm_lo <= s <= s_k and sb_k <= sb <= vm_hi, (v, k)
+                leak_lo, leak_hi = retention._leak_bounds(m, v, s_k, sb_k, vm_lo, vm_hi)
+                assert leak_lo <= exact <= leak_hi, (v, k)
+        assert capped >= 2  # 0.16 and 0.18 V run into the round cap
+
+    @staticmethod
+    def _triples(corner, temp_c, rng):
+        """Seeded random (v, drv, ds) plus pairs straddling the exact boundary."""
+        out = []
+        for _ in range(16):
+            v = float(rng.uniform(0.02, 0.6))
+            drv = v + float(rng.uniform(-0.05, 0.4))
+            out.append((v, drv, float(10.0 ** rng.uniform(-12.0, 1.0))))
+        for _ in range(2):
+            drv = float(rng.uniform(0.3, 0.7))
+            ds_time = float(10.0 ** rng.uniform(-5.0, -2.0))
+            lo, hi = 0.1 * drv, drv  # flips at lo, retains just under drv
+            if _exact_retains(lo, drv, ds_time, corner, temp_c):
+                continue
+            for _ in range(20):
+                mid = 0.5 * (lo + hi)
+                if _exact_retains(mid, drv, ds_time, corner, temp_c):
+                    hi = mid
+                else:
+                    lo = mid
+            out += [(lo, drv, ds_time), (hi, drv, ds_time)]
+        return out
+
+    @pytest.mark.parametrize("margin", [2.0, 1e9, 1.0001])
+    @pytest.mark.parametrize("corner, temp_c", PVTS)
+    def test_matches_the_exact_predicate(self, monkeypatch, corner, temp_c, margin):
+        monkeypatch.setattr(retention, "_CERTIFY_MARGIN", margin)
+        rng = np.random.default_rng(20 + PVTS.index((corner, temp_c)))
+        cases = self._triples(corner, temp_c, rng)
+        with obs.recording() as rec:
+            for v, drv, ds_time in cases:
+                clear_sym_leak_memo()
+                expected = _exact_retains(v, drv, ds_time, corner, temp_c)
+                assert retains(v, drv, ds_time, corner, temp_c) == expected, (v, drv, ds_time)
+        certified = rec.counters.get("retention.certified", 0)
+        exact = rec.counters.get("retention.exact", 0)
+        assert certified + exact == sum(v < drv for v, drv, _ in cases)
+        assert exact >= 2  # the boundary pairs are close calls at any margin
+        if margin == 1e9:
+            assert certified == 0
+        else:
+            assert certified >= 5
+
+    @pytest.mark.parametrize("corner, temp_c", PVTS)
+    def test_decisions_at_one_supply_reuse_the_bounds(self, monkeypatch, corner, temp_c):
+        """Many weak cells at one sleep: settled bounds answer later calls
+        without a solve, and a call they cannot settle still decides exactly."""
+        rng = np.random.default_rng(40 + PVTS.index((corner, temp_c)))
+        solves = []
+        real = retention.hold_leakage
+
+        def counting(*args, **kwargs):
+            solves.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(retention, "hold_leakage", counting)
+        decisions = 0
+        for v in (0.16, 0.3):
+            for _ in range(12):
+                drv = v + float(rng.uniform(0.001, 0.4))
+                ds_time = float(10.0 ** rng.uniform(-9.0, 0.0))
+                expected = _exact_retains(v, drv, ds_time, corner, temp_c)
+                assert retains(v, drv, ds_time, corner, temp_c) == expected, (v, drv, ds_time)
+                decisions += 1
+        assert len(solves) < decisions / 2
+
+    def test_fallback_memoises_the_symmetric_leakage_bits(self):
+        v, drv = 0.16, 0.3
+        leak = max(cell_leakage_current(v, CellVariation.symmetric(), "fs", 125.0), 1e-18)
+        ds_time = C_NODE * v / (leak * (1.0 - v / drv))  # exactly at the boundary
+        with obs.recording() as rec:
+            assert not retains(v, drv, ds_time, "fs", 125.0)
+        assert rec.counters["retention.exact"] == 1
+        memo = retention._SYM_LEAK_MEMO[(v, "fs", 125.0, DEFAULT_CELL)]
+        clear_sym_leak_memo()
+        assert np.float64(memo).tobytes() == np.float64(symmetric_leakage(v, "fs", 125.0)).tobytes()
+        assert memo == leak
+
+    def test_memo_hit_counts_as_neither(self):
+        symmetric_leakage(0.3)
+        with obs.recording() as rec:
+            retains(0.3, 0.4, 1e-3)
+        assert "retention.certified" not in rec.counters
+        assert "retention.exact" not in rec.counters
+
+
+def test_tiny_table2_counts_each_leakage_decision_once(monkeypatch):
+    """Every memo-miss decision below DRV is certified or exact, and few solves cap."""
+    from repro.regulator import characterize
+
+    clear_sym_leak_memo()
+    needing = []
+    real = characterize.retains
+
+    def spying(v, drv, ds_time, corner, temp_c, cell):
+        if 0.0 < v < drv and (float(v), corner, float(temp_c), cell) not in retention._SYM_LEAK_MEMO:
+            needing.append(v)
+        return real(v, drv, ds_time, corner, temp_c, cell)
+
+    monkeypatch.setattr(characterize, "retains", spying)
+    with obs.recording() as rec:
+        payload = build_payload("table2", scope_for("tiny"))
+    clear_sym_leak_memo()
+    assert payload == load_golden(default_goldens_dir(), "tiny", "table2")["payload"]
+    certified = rec.counters.get("retention.certified", 0)
+    exact = rec.counters.get("retention.exact", 0)
+    assert certified + exact == len(needing)
+    assert certified > 0 and exact > 0
+    assert rec.counters.get("leakage.hold.capped", 0) <= 1

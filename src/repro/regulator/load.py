@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,24 +119,29 @@ class ArrayLoad(Element):
         self.crowbar_factor = crowbar_factor
         self.crowbar_width = crowbar_width
 
-    def _current(self, v: float) -> Tuple[float, float]:
-        """Load current out of the node and its dI/dv."""
+    def _current(self, v: float, slope: bool = True) -> Tuple[float, Optional[float]]:
+        """Load current out of the node and its dI/dv (``None`` unless ``slope``).
+
+        The current is the same bits either way: the slope only adds a
+        second table search and the crowbar's ``ds/dv`` beside it.
+        """
         i_cell = self.table.i(v)
-        di_cell = self.table.di_dv(v)
+        di_cell = self.table.di_dv(v) if slope else 0.0
         total = self.n_cells * i_cell
         dtotal = self.n_cells * di_cell
         for group in self.weak_groups:
             x = (group.drv - v) / self.crowbar_width
             s = 0.5 * (1.0 + np.tanh(0.5 * x))
-            ds_dv = -0.25 * (1.0 - np.tanh(0.5 * x) ** 2) / self.crowbar_width
             scale = group.count * self.crowbar_factor
             total += scale * i_cell * s
-            dtotal += scale * (di_cell * s + i_cell * ds_dv)
-        return float(total), float(dtotal)
+            if slope:
+                ds_dv = -0.25 * (1.0 - np.tanh(0.5 * x) ** 2) / self.crowbar_width
+                dtotal += scale * (di_cell * s + i_cell * ds_dv)
+        return float(total), (float(dtotal) if slope else None)
 
     def stamp(self, ctx: StampContext) -> None:
         v = ctx.v(self.node)
-        current, slope = self._current(v)
+        current, slope = self._current(v, slope=ctx.jacobian is not None)
         ctx.add_current(self.node, current, {self.node: slope})
 
     def describe(self, node_names) -> str:

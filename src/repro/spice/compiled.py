@@ -246,16 +246,23 @@ class CompiledCircuit:
             self._mos_pol[j] = 1.0 if model.params.polarity == "n" else -1.0
 
     # ---------------------------------------------------------- EKV batch
-    def _mos_eval_into(self, vg, vd, vs, out_i, out_ni,
-                       out_gg, out_gd, out_gs, out_ngg, out_ngd, out_ngs):
+    def _mos_eval_into(self, vg, vd, vs, out_i, out_ni, partials=None):
         """Vectorised EKV evaluation mirroring ``MosfetModel.ids`` exactly.
 
         ``vg``/``vd``/``vs`` are owned gather buffers shaped ``(M,)`` or
         ``(P, M)`` and are consumed (overwritten).  Results are written
-        straight into the scatter-value slots: the device current, its
-        negation, the three terminal conductances and their negations - the
-        layout ``np.add.at`` expects.  Every operation runs in place on
-        preallocated scratch, so the hot path performs no allocations.
+        straight into the scatter-value slots: the device current and its
+        negation, then - when ``partials`` is the six-slot tuple
+        ``(gg, gd, gs, -gg, -gd, -gs)`` - the three terminal conductances
+        and their negations, the layout ``np.add.at`` expects.  Every
+        operation runs in place on preallocated scratch, so the hot path
+        performs no allocations.
+
+        The current is finished before any partial is touched, and
+        ``partials=None`` returns right there: a residual-only assembly
+        skips both sigmoids and the conductance arithmetic, and its
+        current has the same bits as the full evaluation's because it *is*
+        the full evaluation's prefix.
 
         The arithmetic reproduces the scalar model operation-for-operation
         (drain/source swap via the sign of ``vd - vs``, PMOS polarity
@@ -265,9 +272,9 @@ class CompiledCircuit:
         shape = vg.shape
         scratch = self._scratch.get(shape)
         if scratch is None:
-            scratch = [np.empty(shape) for _ in range(5)]
+            scratch = [np.empty(shape) for _ in range(6)]
             self._scratch[shape] = scratch
-        t_vds, t_sgn, t_c, t_d, t_e = scratch
+        t_vds, t_sgn, t_c, t_d, t_e, t_f = scratch
         pol = self._mos_pol
         np.multiply(vg, pol, out=vg)
         np.multiply(vd, pol, out=vd)
@@ -289,6 +296,20 @@ class CompiledCircuit:
         np.multiply(vg, 0.5, out=vg)                # u_f / 2
         np.logaddexp(0.0, vg, out=vd)               # sp_f
         np.logaddexp(0.0, t_c, out=vs)              # sp_r
+        np.multiply(vd, vd, out=t_d)                # F(u_f)
+        np.multiply(vs, vs, out=t_e)                # F(u_r)
+        np.subtract(t_d, t_e, out=t_d)
+        np.multiply(t_d, self._mos_i0m, out=t_d)    # base = i0 (F_f - F_r)
+        np.multiply(self._mos_lambda, t_vds, out=t_e)
+        np.add(t_e, 1.0, out=t_e)                   # clm = 1 + lambda vds
+        np.multiply(t_d, t_e, out=out_i)            # i (forward frame)
+        # Back to circuit frame: sign the current.
+        np.multiply(pol, t_sgn, out=t_f)
+        np.multiply(out_i, t_f, out=out_i)
+        np.negative(out_i, out=out_ni)
+        if partials is None:
+            return
+        out_gg, out_gd, out_gs, out_ngg, out_ngd, out_ngs = partials
         # fp = softplus(u/2) * sigmoid(u/2), sigmoid(x) = (1 + tanh(x/2))/2.
         np.multiply(vg, 0.5, out=vg)
         np.tanh(vg, out=vg)
@@ -300,26 +321,16 @@ class CompiledCircuit:
         np.add(t_c, 1.0, out=t_c)
         np.multiply(t_c, 0.5, out=t_c)
         np.multiply(vs, t_c, out=t_c)               # fp_r
-        np.multiply(vd, vd, out=vd)                 # F(u_f)
-        np.multiply(vs, vs, out=vs)                 # F(u_r)
-        np.subtract(vd, vs, out=vd)
-        np.multiply(vd, self._mos_i0m, out=vd)      # base = i0 (F_f - F_r)
-        np.multiply(self._mos_lambda, t_vds, out=t_d)
-        np.add(t_d, 1.0, out=t_d)                   # clm = 1 + lambda vds
-        np.multiply(vd, t_d, out=out_i)             # i (forward frame)
         np.subtract(vg, t_c, out=vg)
         np.multiply(vg, self._mos_i0m, out=vg)
         np.divide(vg, self._mos_nphi, out=vg)
-        np.multiply(vg, t_d, out=vg)                # di/dvgs
+        np.multiply(vg, t_e, out=vg)                # di/dvgs
         np.multiply(t_c, self._mos_i0m, out=t_c)
         np.divide(t_c, self._mos_phi, out=t_c)
-        np.multiply(t_c, t_d, out=t_c)
-        np.multiply(vd, self._mos_lambda, out=vd)
-        np.add(t_c, vd, out=t_c)                    # di/dvds
-        # Back to circuit frame: sign the current, un-swap the partials.
-        np.multiply(pol, t_sgn, out=t_d)
-        np.multiply(out_i, t_d, out=out_i)
-        np.negative(out_i, out=out_ni)
+        np.multiply(t_c, t_e, out=t_c)
+        np.multiply(t_d, self._mos_lambda, out=t_d)
+        np.add(t_c, t_d, out=t_c)                   # di/dvds
+        # Un-swap the partials.
         np.multiply(vg, t_sgn, out=out_gg)          # gg = +-dgs
         np.add(t_sgn, 1.0, out=t_sgn)
         np.multiply(t_sgn, 0.5, out=t_sgn)          # 1 where unswapped
@@ -340,23 +351,30 @@ class CompiledCircuit:
         source_scale: float,
         dt: Optional[float] = None,
         x_prev: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Residual and Jacobian at ``x`` (views into reused buffers)."""
+        jacobian: bool = True,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Residual and Jacobian at ``x`` (views into reused buffers).
+
+        ``jacobian=False`` returns ``(residual, None)``: no skeleton copy,
+        gmin diagonal, conductance arithmetic or Jacobian scatter.  The
+        residual has the same bits as the full assembly's.
+        """
         n, S = self.n, self._size
         xpad = self._xpad
         xpad[:n] = x
         res = self._res_pad
-        jac = self._jac_pad
+        jac = self._jac_pad if jacobian else None
         np.dot(self._g0, xpad, out=res)
         if source_scale == 1.0:
             res += self._b0
         else:
             res += self._b0 * source_scale
-        jac[:] = self._g0
         # gmin shunt on every non-ground node.
         nn = self.n_nodes
         res[:nn] += gmin * xpad[:nn]
-        jac.ravel()[self._diag_idx] += gmin
+        if jacobian:
+            jac[:] = self._g0
+            jac.ravel()[self._diag_idx] += gmin
         # Capacitor backward-Euler companions (transient only).
         if dt is not None and len(self._cap_c):
             xp = self._xprev_pad
@@ -371,12 +389,13 @@ class CompiledCircuit:
             rv[0] = ic
             rv[1] = -ic
             np.add.at(res, self._cap_ridx, rv.ravel())
-            jv = self._cap_jvals
-            jv[0] = geq
-            jv[1] = -geq
-            jv[2] = -geq
-            jv[3] = geq
-            np.add.at(jac.ravel(), self._cap_jidx, jv.ravel())
+            if jacobian:
+                jv = self._cap_jvals
+                jv[0] = geq
+                jv[1] = -geq
+                jv[2] = -geq
+                jv[3] = geq
+                np.add.at(jac.ravel(), self._cap_jidx, jv.ravel())
         # Batched MOSFETs: one vectorised EKV call for every device.
         if len(self._mos_pol):
             np.take(xpad, self._mos_g, out=self._mos_vg)
@@ -385,20 +404,22 @@ class CompiledCircuit:
             rv = self._mos_rvals
             jv = self._mos_jvals
             self._mos_eval_into(
-                self._mos_vg, self._mos_vd, self._mos_vs,
-                rv[0], rv[1], jv[0], jv[1], jv[2], jv[3], jv[4], jv[5],
+                self._mos_vg, self._mos_vd, self._mos_vs, rv[0], rv[1],
+                tuple(jv) if jacobian else None,
             )
             np.add.at(res, self._mos_ridx, rv.ravel())
-            np.add.at(jac.ravel(), self._mos_jidx, jv.ravel())
+            if jacobian:
+                np.add.at(jac.ravel(), self._mos_jidx, jv.ravel())
         # Everything the compiler does not understand: reference stamps.
+        jac_view = jac[:n, :n] if jacobian else None
         if self.generic:
             ctx = StampContext(
-                x, res[:n], jac[:n, :n],
+                x, res[:n], jac_view,
                 source_scale=source_scale, dt=dt, x_prev=x_prev,
             )
             for element in self.generic:
                 element.stamp(ctx)
-        return res[:n], jac[:n, :n]
+        return res[:n], jac_view
 
     # ----------------------------------------------------- stacked points
     def vsource_branch_row(self, name: str) -> Optional[int]:
@@ -466,9 +487,8 @@ class CompiledCircuit:
             rv = buf["mos_rvals"]
             jv = buf["mos_jvals"]
             self._mos_eval_into(
-                buf["vg"], buf["vd"], buf["vs"],
-                rv[:, 0], rv[:, 1],
-                jv[:, 0], jv[:, 1], jv[:, 2], jv[:, 3], jv[:, 4], jv[:, 5],
+                buf["vg"], buf["vd"], buf["vs"], rv[:, 0], rv[:, 1],
+                tuple(jv[:, k] for k in range(6)),
             )
             np.add.at(res.reshape(-1), buf["mos_ridx"], rv.reshape(-1))
             np.add.at(jac.reshape(-1), buf["mos_jidx"], jv.reshape(-1))

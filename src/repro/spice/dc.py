@@ -5,7 +5,12 @@ regulator) but strongly nonlinear and sometimes bistable, so robustness
 matters more than asymptotic speed:
 
 * **Damped Newton** - voltage updates are clipped per iteration so the EKV
-  exponentials cannot overflow and oscillating iterates settle.
+  exponentials cannot overflow and oscillating iterates settle.  The
+  backtracking line search assembles the residual only; the accepted point
+  gets the one full assembly the next step factors.  A run that stops
+  making progress (best residual norm down by less than 5% in 10
+  iterations) exits early as ``stalled`` and hands over to the next
+  strategy, as a run that reaches ``max_iter`` does (DESIGN.md §26).
 * **gmin stepping** - a shunt conductance from every node to ground is ramped
   down decade by decade when plain Newton fails.
 * **Source stepping** - all independent sources are ramped from 0 to 100%
@@ -31,10 +36,11 @@ Select per call (``solve_dc(..., backend="reference")``), per process
 (:func:`using_backend`).  The campaign cache fingerprints the active
 default so resumed sweeps never mix results from different assemblers.
 
-Both backends produce a dense Jacobian and share one linear step,
-:func:`_dense_solve`: scipy's LAPACK ``dgesv`` when scipy is importable,
-``np.linalg.solve`` otherwise (``numpy`` is the only declared
-dependency).
+Both take ``jacobian=False`` for a residual-only assembly whose residual
+has the same bits as the full one's.  Both produce a dense Jacobian and
+share one linear step, :func:`_dense_solve`: scipy's LAPACK ``dgesv`` when
+scipy is importable, ``np.linalg.solve`` otherwise (``numpy`` is the only
+declared dependency).
 """
 
 from __future__ import annotations
@@ -178,31 +184,35 @@ def _assemble(
     source_scale: float,
     dt: Optional[float] = None,
     x_prev: Optional[np.ndarray] = None,
+    jacobian: bool = True,
 ):
     """Reference assembly: per-element ``Element.stamp`` dispatch.
 
     Kept as the semantic oracle for the compiled backend (see module
-    docstring); allocates fresh buffers on every call.
+    docstring); allocates fresh buffers on every call.  ``jacobian=False``
+    stamps through a residual-only context and returns ``(residual, None)``.
     """
     n = circuit.unknown_count()
     residual = np.zeros(n)
-    jacobian = np.zeros((n, n))
-    ctx = StampContext(x, residual, jacobian, source_scale=source_scale, dt=dt, x_prev=x_prev)
+    jac = np.zeros((n, n)) if jacobian else None
+    ctx = StampContext(x, residual, jac, source_scale=source_scale, dt=dt, x_prev=x_prev)
     for element in circuit.elements:
         element.stamp(ctx)
     # gmin shunt from every non-ground node to ground.
     n_nodes = circuit.node_count - 1
     for row in range(n_nodes):
         residual[row] += gmin * x[row]
-        jacobian[row, row] += gmin
-    return residual, jacobian
+        if jacobian:
+            jac[row, row] += gmin
+    return residual, jac
 
 
-#: An assembler maps ``(x, gmin, source_scale, dt, x_prev)`` to
-#: ``(residual, jacobian)``.  The compiled variant returns views into reused
-#: buffers; ``_newton`` factors them before the next assembly, so that is
-#: safe.
-Assembler = Callable[..., Tuple[np.ndarray, np.ndarray]]
+#: An assembler maps ``(x, gmin, source_scale, dt, x_prev, jacobian=True)``
+#: to ``(residual, jacobian)``; with ``jacobian=False`` it skips every
+#: Jacobian term and returns ``(residual, None)`` with the same residual
+#: bits.  The compiled variant returns views into reused buffers;
+#: ``_newton`` consumes them before the next assembly, so that is safe.
+Assembler = Callable[..., Tuple[np.ndarray, Optional[np.ndarray]]]
 
 
 def _make_assembler(
@@ -216,8 +226,8 @@ def _make_assembler(
     mutations between solves are picked up without recompiling.
     """
     if backend == "reference":
-        def assemble(x, gmin, source_scale, dt=None, x_prev=None):
-            return _assemble(circuit, x, gmin, source_scale, dt, x_prev)
+        def assemble(x, gmin, source_scale, dt=None, x_prev=None, jacobian=True):
+            return _assemble(circuit, x, gmin, source_scale, dt, x_prev, jacobian)
 
         return assemble, lambda: None
     from .compiled import compiled_plan
@@ -254,6 +264,14 @@ class _SolveTimer:
         obs.observe("dc.factor.seconds", self.factor_s)
 
 
+#: Stall exit: a run stops once its best residual norm has not fallen
+#: below ``_STALL_RATIO`` times the best norm of ``_STALL_WINDOW``
+#: iterations earlier (less than 5% progress in 10 iterations).  Measured
+#: on the fast Table II/III solves (DESIGN.md §26), not a tuning knob.
+_STALL_WINDOW = 10
+_STALL_RATIO = 0.95
+
+
 def _newton(
     assembler: Assembler,
     n_nodes: int,
@@ -266,17 +284,27 @@ def _newton(
     dt: Optional[float] = None,
     x_prev: Optional[np.ndarray] = None,
     timer: Optional[_SolveTimer] = None,
-) -> Tuple[Optional[np.ndarray], int]:
-    """One damped-Newton run; returns ``(solution or None, iterations)``.
+) -> Tuple[Optional[np.ndarray], int, bool]:
+    """One damped-Newton run: ``(solution or None, iterations, stalled)``.
 
-    The iteration count feeds the telemetry histograms and the failure
-    trail attached to :class:`ConvergenceError`.
+    Each backtracking trial assembles the residual only; the accepted
+    point, unless it has converged, gets one full assembly for the next
+    Newton step.  Both assemblies compute the residual with the same
+    operations, so the accepted residual keeps the trial's bits and the
+    trajectory is that of a loop assembling the Jacobian at every trial.
+
+    A run whose best residual norm improves by less than 5% over 10
+    iterations stops early (``stalled=True``, counted as
+    ``dc.newton.stalled``) and returns ``None`` like one that reaches
+    ``max_iter``.  The iteration count feeds the telemetry histograms and
+    the failure trail attached to :class:`ConvergenceError`.
     """
     x = x0.copy()
     if timer is not None:
         assembler = timer.wrap(assembler)
     residual, jacobian = assembler(x, gmin, source_scale, dt, x_prev)
     norm = float(np.sqrt(np.dot(residual, residual)))
+    best = [norm]  # best[k]: lowest norm after k iterations
     rhs = np.empty_like(x)  # owned rhs/solution buffer for _dense_solve
     for iteration in range(max_iter):
         # Campaign deadline enforcement: a single None comparison when no
@@ -292,7 +320,7 @@ def _newton(
         else:
             dx = _dense_solve(jacobian, rhs)
         if dx is None or not np.isfinite(dx).all():
-            return None, iteration
+            return None, iteration, False
         # Clip voltage updates (branch-current updates are left free).
         max_step = float(np.abs(dx[:n_nodes]).max()) if n_nodes else 0.0
         if max_step > vstep_limit:
@@ -300,25 +328,34 @@ def _newton(
             max_step = vstep_limit
         # Backtracking line search: high-gain feedback loops (the regulator)
         # limit-cycle under full Newton steps; damp until the residual norm
-        # stops growing.
+        # stops growing.  Trials need the residual norm only.
         alpha = 1.0
         for _ in range(12):
             x_try = x + alpha * dx
-            res_try, jac_try = assembler(x_try, gmin, source_scale, dt, x_prev)
-            norm_try = float(np.sqrt(np.dot(res_try, res_try)))
+            residual, _ = assembler(
+                x_try, gmin, source_scale, dt, x_prev, jacobian=False
+            )
+            norm_try = float(np.sqrt(np.dot(residual, residual)))
             if norm_try <= norm * (1.0 - 1e-4 * alpha) or norm_try < tol_i:
                 break
             alpha *= 0.5
         x = x_try
-        residual, jacobian = res_try, jac_try
         norm = norm_try
+        done = iteration + 1
         # Residual-only convergence: near weakly-conducting (subthreshold)
         # nodes the Newton step |dx| = |J^-1 r| can stay large even when the
         # KCL residual is at numerical noise, so a step-size criterion would
         # never fire there.
         if float(np.abs(residual).max()) < tol_i:
-            return x, iteration + 1
-    return None, max_iter
+            return x, done, False
+        best.append(min(best[-1], norm))
+        if done >= _STALL_WINDOW and (
+            best[done] > _STALL_RATIO * best[done - _STALL_WINDOW]
+        ):
+            obs.count("dc.newton.stalled")
+            return None, done, True
+        residual, jacobian = assembler(x, gmin, source_scale, dt, x_prev)
+    return None, max_iter, False
 
 
 def solve_dc(
@@ -336,7 +373,9 @@ def solve_dc(
     selects which stable state the solver converges to.  When the full
     strategy chain fails at the requested ``vstep_limit``, it is retried
     with progressively tighter step clipping (steep table-driven loads can
-    make Newton hop across their transition region at large steps).
+    make Newton hop across their transition region at large steps): the
+    distinct limits of ``(vstep_limit, 0.1, 0.04)`` not above
+    ``vstep_limit``, largest first.
     ``backend`` picks the assembly path (``None`` follows
     :func:`default_backend`).
     Raises :class:`ConvergenceError` only after every combination fails;
@@ -346,7 +385,8 @@ def solve_dc(
 
     When a :mod:`repro.obs` recorder is installed, every solve records its
     winning strategy (``dc.converged.<strategy>``), Newton iteration count
-    (``dc.newton_iters``), latency (``dc.solve.seconds``) and the
+    (``dc.newton_iters``), stall exits of its Newton runs
+    (``dc.newton.stalled``), latency (``dc.solve.seconds``) and the
     assembly-vs-factorisation time split (``dc.assemble.seconds`` /
     ``dc.factor.seconds``); disabled recorders cost one predicate per
     solve.
@@ -357,9 +397,9 @@ def solve_dc(
     timer = _SolveTimer() if recording else None
     last_error: Optional[ConvergenceError] = None
     limits_tried: List[float] = []
-    for limit in (vstep_limit, 0.1, 0.04):
-        if limit > vstep_limit:
-            continue
+    ladder = sorted({v for v in (vstep_limit, 0.1, 0.04) if v <= vstep_limit},
+                    reverse=True)
+    for limit in ladder:
         limits_tried.append(limit)
         try:
             solution, strategy, iters = _solve_dc_once(
@@ -367,8 +407,6 @@ def solve_dc(
             )
         except ConvergenceError as error:
             last_error = error
-            if limit <= 0.04:
-                break
             continue
         if recording:
             obs.count("dc.solves")
@@ -432,18 +470,18 @@ def _solve_dc_once(
         )
 
     first_strategy = "newton-warm" if warm else "newton"
-    x, iters = newton(x0, gmin, 1.0)
+    x, iters, stalled = newton(x0, gmin, 1.0)
     total_iters += iters
     if x is not None:
         return Solution(circuit, x), first_strategy, total_iters
-    trail.append(f"{first_strategy}({iters} iters)")
+    trail.append(f"{first_strategy}({_run_note(iters, stalled)})")
     if warm:
         # A bad warm start can be worse than none: retry cold.
-        x, iters = newton(np.zeros(n), gmin, 1.0)
+        x, iters, stalled = newton(np.zeros(n), gmin, 1.0)
         total_iters += iters
         if x is not None:
             return Solution(circuit, x), "newton-cold-retry", total_iters
-        trail.append(f"newton-cold-retry({iters} iters)")
+        trail.append(f"newton-cold-retry({_run_note(iters, stalled)})")
 
     # gmin stepping: solve with a large shunt, then relax it decade by decade.
     for label, start in (("gmin-step", x0.copy()), ("gmin-step-cold", np.zeros(n))):
@@ -451,50 +489,58 @@ def _solve_dc_once(
         converged_chain = True
         for exponent in range(3, 13):
             step_gmin = 10.0 ** (-exponent)
-            x, iters = newton(guess, step_gmin, 1.0)
+            x, iters, stalled = newton(guess, step_gmin, 1.0)
             total_iters += iters
             obs.count("dc.gmin_decades")
             if x is None:
                 converged_chain = False
                 trail.append(
-                    f"{label}(stalled at gmin={step_gmin:g}, {iters} iters)"
+                    f"{label}(failed at gmin={step_gmin:g}, "
+                    f"{_run_note(iters, stalled)})"
                 )
                 break
             guess = x
         if converged_chain:
-            x, iters = newton(guess, gmin, 1.0)
+            x, iters, stalled = newton(guess, gmin, 1.0)
             total_iters += iters
             if x is not None:
                 return Solution(circuit, x), label, total_iters
-            trail.append(f"{label}(release to gmin={gmin:g}, {iters} iters)")
+            trail.append(
+                f"{label}(release to gmin={gmin:g}, {_run_note(iters, stalled)})"
+            )
 
     # Source stepping: continuation from the all-off circuit, with a softer
     # shunt held during the ramp and relaxed decade by decade at the end.
     ramp_gmin = max(gmin, 1e-9)
     guess = np.zeros(n)
     for scale in np.linspace(0.05, 1.0, 20):
-        x, iters = newton(guess, ramp_gmin, float(scale))
+        x, iters, stalled = newton(guess, ramp_gmin, float(scale))
         total_iters += iters
         if x is None:
             trail.append(
                 f"source-step(failed at source scale {scale:.2f}, "
-                f"gmin={ramp_gmin:g}, {iters} iters)"
+                f"gmin={ramp_gmin:g}, {_run_note(iters, stalled)})"
             )
             raise _trail_error(circuit, trail, vstep_limit, total_iters)
         guess = x
     shunt = ramp_gmin
     while shunt > gmin * 1.0001:
         shunt = max(shunt / 10.0, gmin)
-        x, iters = newton(guess, shunt, 1.0)
+        x, iters, stalled = newton(guess, shunt, 1.0)
         total_iters += iters
         if x is None:
             trail.append(
                 f"source-step(failed releasing the ramp shunt at "
-                f"gmin={shunt:g}, {iters} iters)"
+                f"gmin={shunt:g}, {_run_note(iters, stalled)})"
             )
             raise _trail_error(circuit, trail, vstep_limit, total_iters)
         guess = x
     return Solution(circuit, guess), "source-step", total_iters
+
+
+def _run_note(iters: int, stalled: bool) -> str:
+    """The iteration part of a trail entry; stall exits say so."""
+    return f"stalled after {iters} iters" if stalled else f"{iters} iters"
 
 
 def _trail_error(

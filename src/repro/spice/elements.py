@@ -28,13 +28,18 @@ class StampContext:
 
     The unknown vector is ``x = [v(node 1..N-1), branch currents...]``; ground
     (node 0) is fixed at 0 V and has no residual row.
+
+    ``jacobian=None`` makes a residual-only context: the ``add_*`` helpers
+    skip their Jacobian writes, and an element whose partials cost extra
+    work may skip computing them (``ctx.jacobian is None``).  The residual
+    must not depend on that choice, bit for bit.
     """
 
     def __init__(
         self,
         x: np.ndarray,
         residual: np.ndarray,
-        jacobian: np.ndarray,
+        jacobian: Optional[np.ndarray],
         source_scale: float = 1.0,
         dt: Optional[float] = None,
         x_prev: Optional[np.ndarray] = None,
@@ -69,25 +74,32 @@ class StampContext:
             return
         row = node - 1
         self.residual[row] += current
+        jacobian = self.jacobian
+        if jacobian is None:
+            return
         for other, g in derivs.items():
             if other != 0:
-                self.jacobian[row, other - 1] += g
+                jacobian[row, other - 1] += g
 
     def add_current_dbranch(self, node: int, branch_index: int, coeff: float) -> None:
         """Add ``coeff`` * (branch current) sensitivity at ``node``."""
-        if node == 0:
+        if node == 0 or self.jacobian is None:
             return
         self.jacobian[node - 1, branch_index] += coeff
 
     def add_branch_residual(self, branch_index: int, value: float, derivs: Dict[int, float]) -> None:
         """Set the residual/jacobian row of a branch-current unknown."""
         self.residual[branch_index] += value
+        jacobian = self.jacobian
+        if jacobian is None:
+            return
         for other, g in derivs.items():
             if other != 0:
-                self.jacobian[branch_index, other - 1] += g
+                jacobian[branch_index, other - 1] += g
 
     def add_branch_dbranch(self, branch_index: int, other_branch: int, coeff: float) -> None:
-        self.jacobian[branch_index, other_branch] += coeff
+        if self.jacobian is not None:
+            self.jacobian[branch_index, other_branch] += coeff
 
 
 class Element:

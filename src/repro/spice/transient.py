@@ -115,16 +115,16 @@ def solve_transient(
                 advance(t_next)
         # Element values (stimuli, loads) may change every step.
         refresh()
-        x, _iters = newton(x_prev, step, x_prev)
+        x = newton(x_prev, step, x_prev)[0]
         if x is None:
             # One retry with a halved step before giving up.
             half = step / 2.0
-            x_half, _iters = newton(x_prev, half, x_prev)
+            x_half = newton(x_prev, half, x_prev)[0]
             if x_half is None:
                 raise ConvergenceError(
                     f"transient step failed at t={t_next:g}s for {circuit.title!r}"
                 )
-            x, _iters = newton(x_half, step - half, x_half)
+            x = newton(x_half, step - half, x_half)[0]
             if x is None:
                 raise ConvergenceError(
                     f"transient step failed at t={t_next:g}s for {circuit.title!r}"

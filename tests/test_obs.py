@@ -301,6 +301,50 @@ class TestSolverTelemetry:
             solve_dc(_singular_circuit(), vstep_limit=0.04)
         assert "vstep limits tried" not in str(excinfo.value)
 
+    def test_step_limit_ladder_has_no_duplicates(self):
+        """A caller limit equal to a ladder rung runs that rung once."""
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_dc(_singular_circuit(), vstep_limit=0.1)
+        assert excinfo.value.context["vstep_limits"] == [0.1, 0.04]
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_dc(_singular_circuit(), vstep_limit=0.2)
+        assert excinfo.value.context["vstep_limits"] == [0.2, 0.1, 0.04]
+
+    def test_stall_exits_are_counted_and_named_in_the_trail(self, monkeypatch):
+        """With the stall window shrunk to one iteration and no progress
+        accepted, every run that does not converge at once stalls: each is
+        counted and named in the trail the error carries."""
+        from repro.spice import dc
+
+        monkeypatch.setattr(dc, "_STALL_WINDOW", 1)
+        monkeypatch.setattr(dc, "_STALL_RATIO", 0.0)
+        with obs.recording() as rec:
+            with pytest.raises(ConvergenceError) as excinfo:
+                solve_dc(_inverter_circuit(), vstep_limit=0.04)
+        strategies = excinfo.value.context["strategies"]
+        assert strategies[0] == "newton(stalled after 1 iters)"
+        assert "gmin-step(failed at gmin=0.001, stalled after 1 iters)" in strategies
+        assert any(s.startswith("source-step(") and s.endswith("stalled after 1 iters)")
+                   for s in strategies)
+        assert "stalled after 1 iters" in str(excinfo.value)
+        assert rec.counters["dc.newton.stalled"] == len(strategies)
+        assert rec.counters["dc.failures"] == 1
+
+    def test_tiny_table2_stall_exits_leave_the_payload_alone(self):
+        """The stall rule fires on tiny Table II (the Df16 warm start), the
+        rescue chain absorbs it: no skipped scan point, no truncated
+        refinement, no failed solve, and the payload equals its golden."""
+        from repro.verify.artifacts import build_payload, scope_for
+        from repro.verify.goldens import default_goldens_dir, load_golden
+
+        with obs.recording() as rec:
+            payload = build_payload("table2", scope_for("tiny"))
+        assert payload == load_golden(default_goldens_dir(), "tiny", "table2")["payload"]
+        assert rec.counters.get("dc.newton.stalled", 0) > 0
+        assert "characterize.scan.skipped" not in rec.counters
+        assert "characterize.refine.truncated" not in rec.counters
+        assert "dc.failures" not in rec.counters
+
 
 class TestProgressReporterRate:
     """Satellite: the streamed rate counts executed tasks only."""

@@ -258,3 +258,208 @@ class TestCompiledVsReference:
         residual_ref, jacobian_ref = _assemble(circuit, x, 1e-12, 1.0)
         np.testing.assert_allclose(residual, residual_ref, rtol=ASSEMBLY_RTOL, atol=ASSEMBLY_ATOL)
         np.testing.assert_allclose(jacobian, jacobian_ref, rtol=ASSEMBLY_RTOL, atol=ASSEMBLY_ATOL)
+
+
+# ---------------------------------------------------------------------------
+# Residual-only assembly and the Newton loop built on it.
+#
+# Line-search trials in ``_newton`` assemble the residual only and the
+# accepted point gets one full assembly.  That keeps the Newton trajectory
+# only if a residual-only assembly returns the full assembly's residual bit
+# for bit, on both backends and through every element kind the regulator
+# uses (compiled MOSFETs, the table-driven ArrayLoad, generic stamps).
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+def _backend_assembler(circuit, backend):
+    from repro.spice.dc import _assign_branch_indices, _make_assembler
+
+    _assign_branch_indices(circuit)
+    return _make_assembler(circuit, backend)[0]
+
+
+def _regulator_cases():
+    """Every DC defect site plus the defect-free netlist, with and without
+    weak-cell crowbar groups (one group above the operating point's Vddcc,
+    one below, so both tails of the logistic turn-on are stamped)."""
+    from repro.devices.pvt import PVT
+    from repro.regulator.defects import DEFECTS
+    from repro.regulator.design import VrefSelect
+    from repro.regulator.load import WeakCellGroup
+    from repro.regulator.netlist import build_regulator
+
+    pvt = PVT("fs", 1.0, 125.0)
+    weak = (WeakCellGroup(64, 0.78), WeakCellGroup(4, 0.55))
+    sites = [None] + [d for _n, d in sorted(DEFECTS.items()) if d.timing is None]
+    for defect in sites:
+        for groups in ((), weak):
+            circuit, _nodes = build_regulator(
+                pvt, VrefSelect.VREF74, defect,
+                2e4 if defect is not None else 0.0, weak_groups=groups,
+            )
+            yield (defect.number if defect else 0), bool(groups), circuit
+
+
+class TestResidualOnlyAssembly:
+    """(a) ``jacobian=False`` returns the full assembly's residual bits."""
+
+    GMINS = tuple(10.0 ** -k for k in range(3, 13))
+
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    def test_regulator_sites_residual_bits(self, backend):
+        cases = 0
+        for site, weak, circuit in _regulator_cases():
+            cases += 1
+            assemble = _backend_assembler(circuit, backend)
+            n, n_nodes = circuit.unknown_count(), circuit.node_count - 1
+            rng = np.random.default_rng(1000 * site + weak)
+            for _ in range(2):
+                x = np.concatenate([
+                    rng.uniform(-0.1, 1.1, n_nodes),
+                    rng.normal(0.0, 1e-4, n - n_nodes),
+                ])
+                for gmin in self.GMINS:
+                    scale = float(rng.uniform(0.05, 1.0))
+                    full, jac = assemble(x, gmin, scale)
+                    assert jac is not None
+                    full = full.copy()
+                    residual, none = assemble(x, gmin, scale, jacobian=False)
+                    assert none is None
+                    assert _bits(residual) == _bits(full), (site, weak, gmin, scale)
+        assert cases > 50  # ~29 DC sites + defect-free, each with/without weak cells
+
+    @settings(max_examples=40, deadline=None)
+    @given(device_circuits(), st.data(), st.sampled_from(["compiled", "reference"]))
+    def test_transient_residual_bits(self, circuit, data, backend):
+        """Backward-Euler companions (``dt``/``x_prev``) on random device
+        networks: the residual-only path skips only the ``geq`` Jacobian."""
+        assemble = _backend_assembler(circuit, backend)
+        n = circuit.unknown_count()
+        x = TestCompiledVsReference._random_state(data, n)
+        x_prev = TestCompiledVsReference._random_state(data, n)
+        dt = data.draw(st.floats(1e-12, 1e-3), label="dt")
+        gmin = data.draw(st.sampled_from(self.GMINS), label="gmin")
+        scale = data.draw(st.floats(0.05, 1.0), label="source_scale")
+        full, _ = assemble(x, gmin, scale, dt, x_prev)
+        full = full.copy()
+        residual, none = assemble(x, gmin, scale, dt, x_prev, jacobian=False)
+        assert none is None
+        assert _bits(residual) == _bits(full)
+
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    def test_generic_stamps_residual_bits(self, backend):
+        """Timed and controlled sources plus an array load go through the
+        reference ``StampContext`` on both backends; under a transient step
+        their residual-only stamps skip the Jacobian writes only."""
+        from repro.devices import CORNERS, MosfetModel, nmos_params
+        from repro.regulator.load import ArrayLoad, WeakCellGroup, leakage_table
+        from repro.spice.sources import (
+            PulseVoltageSource,
+            VoltageControlledVoltageSource,
+        )
+
+        circuit = Circuit("generic-transient")
+        circuit.add(PulseVoltageSource(
+            "vp", circuit.node("in"), 0, 0.0, 1.0, delay=1e-9, rise=1e-9))
+        circuit.add(VoltageControlledVoltageSource(
+            "e1", circuit.node("buf"), 0, circuit.node("in"), 0, 0.8))
+        circuit.resistor("r1", "buf", "load", 2e3)
+        circuit.capacitor("c1", "load", "0", 1e-12)
+        circuit.mosfet("m1", "load", "in", "0",
+                       MosfetModel(nmos_params("m1", 120e-9), CORNERS["fs"], 125.0))
+        circuit.add(ArrayLoad(
+            "arr", circuit.node("load"), leakage_table("fs", 125.0), 4096,
+            (WeakCellGroup(16, 0.45),),
+        ))
+        circuit.element("vp").advance_to(1.5e-9)
+        assemble = _backend_assembler(circuit, backend)
+        n = circuit.unknown_count()
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x = rng.uniform(-0.2, 1.2, n)
+            x_prev = rng.uniform(-0.2, 1.2, n)
+            for dt in (None, 1e-10):
+                full, _ = assemble(x, 1e-12, 1.0, dt, x_prev if dt else None)
+                full = full.copy()
+                residual, none = assemble(
+                    x, 1e-12, 1.0, dt, x_prev if dt else None, jacobian=False
+                )
+                assert none is None
+                assert _bits(residual) == _bits(full)
+
+
+def _always_full(assembler):
+    """The assembler ignoring ``jacobian=False``: a Jacobian at every
+    trial, as the Newton loop assembled before residual-only trials."""
+    def assemble(x, gmin, scale, dt=None, x_prev=None, jacobian=True):
+        return assembler(x, gmin, scale, dt, x_prev)
+
+    return assemble
+
+
+def _run_key(run):
+    x, iterations, stalled = run
+    return (None if x is None else _bits(x)), iterations, stalled
+
+
+class TestResidualOnlyNewton:
+    """(b) residual-only trials keep ``(x bits, iterations)`` of every run,
+    with the stall rule switched off."""
+
+    def test_tiny_table2_runs_match_full_jacobian_trials(self, monkeypatch):
+        """Every ``_newton`` call of tiny Table II runs twice: through the
+        shipped assembler and through ``_always_full``."""
+        from repro.spice import dc
+        from repro.verify.artifacts import build_payload, scope_for
+
+        monkeypatch.setattr(dc, "_STALL_WINDOW", 10 ** 9)
+        real = dc._newton
+        runs = []
+
+        def paired(assembler, *args, **kwargs):
+            oracle = real(_always_full(assembler), *args, **kwargs)
+            result = real(assembler, *args, **kwargs)
+            runs.append((_run_key(oracle), _run_key(result)))
+            return result
+
+        monkeypatch.setattr(dc, "_newton", paired)
+        build_payload("table2", scope_for("tiny"))
+        assert len(runs) > 80
+        assert [k for k, (a, b) in enumerate(runs) if a != b] == []
+        # The Df16 warm start that the stall rule cuts in production runs to
+        # max_iter here, so the long failing trajectory is covered too.
+        assert any(x is None and iters == 150 for _a, (x, iters, _s) in runs)
+
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    def test_seeded_regulator_runs_match(self, monkeypatch, backend):
+        from repro.devices.pvt import PVT
+        from repro.regulator.defects import DEFECTS
+        from repro.regulator.design import VrefSelect
+        from repro.regulator.load import WeakCellGroup
+        from repro.regulator.netlist import RegulatorSession
+        from repro.spice import dc
+
+        monkeypatch.setattr(dc, "_STALL_WINDOW", 10 ** 9)
+        outcomes = []
+        rng = np.random.default_rng(2013)
+        pvt = PVT("fs", 1.0, 125.0)
+        for number in (1, 16, 19, 23, 32):
+            for groups in ((), (WeakCellGroup(64, 0.70),)):
+                session = RegulatorSession(
+                    pvt, VrefSelect.VREF74, DEFECTS[number], weak_groups=groups
+                )
+                session._set_resistance(float(rng.choice([3e3, 3e4, 3e5])))
+                assemble = _backend_assembler(session.circuit, backend)
+                n_nodes = session.circuit.node_count - 1
+                x0 = session._heuristic()
+                x0[:n_nodes] += rng.normal(0.0, 0.05, n_nodes)
+                for gmin in (1e-12, 1e-6):
+                    args = (n_nodes, x0, gmin, 1.0, 150, 0.4, 5e-12)
+                    oracle = dc._newton(_always_full(assemble), *args)
+                    result = dc._newton(assemble, *args)
+                    assert _run_key(oracle) == _run_key(result), (number, gmin)
+                    outcomes.append(result[1])
+        assert max(outcomes) > 50  # long, heavily damped runs are covered

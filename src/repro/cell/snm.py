@@ -20,7 +20,7 @@ segments because both coordinates are linear along a straight segment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,14 @@ from .. import obs
 from ..devices.mosfet import MosfetModel
 from ..devices.variation import CellVariation
 from .design import DEFAULT_CELL, CellDesign
-from .vtc import _BISECTION_STEPS, bisect_output, output_residual, supply_bracket, vtc_pair
+from .vtc import (
+    _BISECTION_STEPS,
+    HalfCellKernel,
+    bisect_output,
+    half_cell_roles,
+    supply_bracket,
+    vtc_pair,
+)
 
 #: Input-grid resolution for the VTCs.
 _GRID_POINTS = 256
@@ -46,6 +53,17 @@ _BLOCK_ROWS = 32
 #: ``vdd * 2^-22`` wide (~3e-7 V at 1.2 V).
 _COARSE_STEPS = 22
 
+#: Steps of the sign mode's pre-pass over every grid point, after which each
+#: VTC row is cut to the points its lane's lobe can read (DESIGN §27).  The
+#: kept share falls from 48% at 2 steps to 42% at 3 and barely moves up to 8,
+#: while every pre-pass step runs on the whole grid.  A value above
+#: :data:`_COARSE_STEPS` acts as that.
+_CUT_STEPS = 3
+
+#: Half-width of the gap around ``c = 0`` that :func:`_lobe` leaves out:
+#: lobe 0 spans ``c >= _LOBE_EPS``, lobe 1 ``c <= -_LOBE_EPS``.
+_LOBE_EPS = 1e-6
+
 #: A coarse SNM sign is certified when both |SNM| and the lobe's c-width
 #: exceed this many coarse bracket widths.  The coarse SNM lies within ~1.5
 #: widths of the exact one (DESIGN §24).
@@ -62,19 +80,22 @@ class SnmSession:
     """SNM evaluator over ``R`` rows of (variation, corner, temperature).
 
     Builds each row's six device models once.  Every evaluation of ``k``
-    rows stacks both half-cell VTCs into :func:`~repro.cell.vtc.bisect_output`
-    on ``(2k, G)`` inputs: the S-driving inverters over the SB-driving ones,
-    device parameters as ``(2k, 1)`` columns (:meth:`MosfetModel.stack`).
-    Each row's result is bit-identical to a 1-row session's: every VTC step
-    is elementwise, rows never mix, and ``np.linspace`` with an array
-    endpoint matches its scalar output.
+    rows stacks both half-cell VTCs into one
+    :class:`~repro.cell.vtc.HalfCellKernel` on ``(2k, G)`` inputs: the
+    S-driving inverters over the SB-driving ones, device parameters as
+    ``(3, 2k, 1)`` columns (:meth:`MosfetModel.stack`, then
+    :meth:`MosfetModel.stack_roles`).  Each row's result is bit-identical to
+    a 1-row session's: every VTC step is elementwise, rows never mix, and
+    ``np.linspace`` with an array endpoint matches its scalar output.
 
-    :meth:`snm_batch` with ``lobes`` is the DRV search's sign mode: it stops
-    each VTC after :data:`_COARSE_STEPS` steps, keeps the lanes whose SNM
-    sign the coarse curves already settle, and resumes only the rest to the
-    full :data:`~repro.cell.vtc._BISECTION_STEPS` (DESIGN §24).  Without
-    ``lobes`` every row resumes, so :meth:`snm` and :meth:`snm_batch` are
-    exact.
+    :meth:`snm_batch` with ``lobes`` is the DRV search's sign mode.  After a
+    :data:`_CUT_STEPS` pre-pass it keeps, per VTC row, only the grid points
+    that can reach the lane's lobe (:func:`_lobe_spans`); it stops those at
+    :data:`_COARSE_STEPS` steps, keeps the lanes whose SNM sign the coarse
+    curves already settle, and resumes only the rest to the full
+    :data:`~repro.cell.vtc._BISECTION_STEPS` (DESIGN §24, §27).  Without
+    ``lobes`` every point runs all the steps, so :meth:`snm` and
+    :meth:`snm_batch` are exact.
     """
 
     def __init__(
@@ -88,12 +109,13 @@ class SnmSession:
         self.points = points
         self._models = [cell.models(*row) for row in self.rows]
 
-    def _stacked(self, block: Sequence[int]) -> List[MosfetModel]:
-        """(pull-up, pull-down, pass gate) of ``block``'s S-driving over SB-driving inverters."""
-        return [
+    def _stacked(self, block: Sequence[int]) -> MosfetModel:
+        """(pull-down, pass gate, pull-up) of ``block``'s S-driving over SB-driving inverters."""
+        pullup, pulldown, pass_gate = (
             MosfetModel.stack([self._models[r][inv[role]] for inv in _INVERTERS for r in block])
             for role in range(3)
-        ]
+        )
+        return half_cell_roles(pullup, pulldown, pass_gate, 2)
 
     def _block(
         self, vdd: np.ndarray, block: Sequence[int], lobes: Optional[np.ndarray]
@@ -103,41 +125,49 @@ class SnmSession:
         grid = np.linspace(0.0, vdd, self.points, axis=-1)
         inputs = np.tile(grid, (2, 1))
         supplies = np.tile(vdd, 2)[:, None]
-        lo, hi = supply_bracket(inputs, supplies)
-        residual = output_residual(inputs, supplies, *self._stacked(block))
-        lo, hi = bisect_output(residual, lo, hi, _COARSE_STEPS)
+        lo, hi = supply_bracket(inputs, supplies, "SnmSession")
+        kernel = HalfCellKernel(self._stacked(block), inputs, supplies)
         if lobes is None:
-            out = np.empty((k, 2))
-            refine = np.arange(k)
-        else:
-            # The exact curves lie inside the coarse brackets, so the coarse
-            # SNM is within ~1.5 bracket widths of the exact one.
-            out = np.empty(k)
-            widths = np.empty(k)
-            coarse = 0.5 * (lo + hi)
-            for i in range(k):
-                curves = _diagonal_curves(grid[i], coarse[i], coarse[k + i])
-                out[i], widths[i] = _lobe(curves, lobes[i])
-            margin = _CERTIFY_MARGIN * vdd * 2.0 ** -_COARSE_STEPS
-            refine = np.flatnonzero(~((np.abs(out) > margin) & (widths > margin)))
-            obs.count("snm.certified", k - len(refine))
-            obs.count("snm.refined", len(refine))
-            if not len(refine):
-                return out
-        m = len(refine)
-        if m < k:
-            take = np.concatenate([refine, k + refine])
-            residual = output_residual(
-                inputs[take], supplies[take], *self._stacked([block[i] for i in refine])
-            )
-            lo, hi = lo[take], hi[take]
-        lo, hi = bisect_output(residual, lo, hi, _BISECTION_STEPS - _COARSE_STEPS)
+            lo, hi = bisect_output(kernel.residual, lo, hi, _BISECTION_STEPS)
+            vtcs = 0.5 * (lo + hi)
+            return np.array([_lobe_separations(grid[i], vtcs[i], vtcs[k + i]) for i in range(k)])
+        steps = min(_CUT_STEPS, _COARSE_STEPS)
+        lo, hi = bisect_output(kernel.residual, lo, hi, steps)
+        starts, stops = _lobe_spans(inputs, lo, hi, lobes)
+        rows = np.arange(2 * k)
+        kept = _ranges(rows * self.points + starts, rows * self.points + stops)
+        obs.count("snm.points.kept", len(kept))
+        obs.count("snm.points.total", lo.size)
+        kernel = kernel.take(kept)
+        lo, hi = bisect_output(
+            kernel.residual, lo.ravel()[kept], hi.ravel()[kept], _COARSE_STEPS - steps
+        )
+        # Row r's kept points are vtcs[offsets[r]:offsets[r + 1]].
+        offsets = np.concatenate([[0], np.cumsum(stops - starts)])
+
+        def lane(i, vtcs):
+            b, a = i, k + i
+            curves = _curve_a(grid[i, starts[a]:stops[a]], vtcs[offsets[a]:offsets[a + 1]])
+            curves += _curve_b(grid[i, starts[b]:stops[b]], vtcs[offsets[b]:offsets[b + 1]])
+            return _lobe(curves, lobes[i])
+
+        # The exact curves lie inside the coarse brackets, so the coarse SNM
+        # is within ~1.5 bracket widths of the exact one.
         vtcs = 0.5 * (lo + hi)
-        for j, i in enumerate(refine):
-            if lobes is None:
-                out[i] = _lobe_separations(grid[i], vtcs[j], vtcs[m + j])
-            else:
-                out[i] = _lobe(_diagonal_curves(grid[i], vtcs[j], vtcs[m + j]), lobes[i])[0]
+        out, widths = np.array([lane(i, vtcs) for i in range(k)]).T
+        margin = _CERTIFY_MARGIN * vdd * 2.0 ** -_COARSE_STEPS
+        refine = np.flatnonzero(~((np.abs(out) > margin) & (widths > margin)))
+        obs.count("snm.certified", k - len(refine))
+        obs.count("snm.refined", len(refine))
+        if len(refine):
+            rows = np.concatenate([refine, k + refine])
+            take = _ranges(offsets[rows], offsets[rows + 1])
+            lo, hi = bisect_output(
+                kernel.take(take).residual, lo[take], hi[take], _BISECTION_STEPS - _COARSE_STEPS
+            )
+            vtcs[take] = 0.5 * (lo + hi)
+            for i in refine:
+                out[i] = lane(i, vtcs)[0]
         return out
 
     def _separations(
@@ -204,18 +234,21 @@ def butterfly_curves(
     return {"s_a": grid, "sb_a": sb_of_s, "s_b": s_of_sb, "sb_b": grid}
 
 
+def _curve_a(grid: np.ndarray, sb_of_s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Curve A, ``(s, g(s))``, as ``(c_a, v_a)``: ``c`` increases with ``s``."""
+    return grid - sb_of_s, grid + sb_of_s
+
+
+def _curve_b(grid: np.ndarray, s_of_sb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Curve B, ``(f(sb), sb)``, as ``(c_b, v_b)``, reversed so ``c`` increases."""
+    return (s_of_sb - grid)[::-1], (s_of_sb + grid)[::-1]
+
+
 def _diagonal_curves(
     grid: np.ndarray, s_of_sb: np.ndarray, sb_of_s: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Both butterfly curves as ``(c_a, v_a, c_b, v_b)``, ``c`` increasing."""
-    # Curve A: (s, g(s)) - diagonal coordinate increases with s.
-    c_a = grid - sb_of_s
-    v_a = grid + sb_of_s
-    # Curve B: (f(sb), sb) - diagonal coordinate decreases with sb; reverse
-    # so np.interp sees increasing x.
-    c_b = (s_of_sb - grid)[::-1]
-    v_b = (s_of_sb + grid)[::-1]
-    return c_a, v_a, c_b, v_b
+    return _curve_a(grid, sb_of_s) + _curve_b(grid, s_of_sb)
 
 
 def _lobe(curves, lobe: int) -> Tuple[float, float]:
@@ -225,11 +258,10 @@ def _lobe(curves, lobe: int) -> Tuple[float, float]:
     when the lobe is missing (c-width ``<= 0``).
     """
     c_a, v_a, c_b, v_b = curves
-    eps = 1e-6
     if lobe == 0:
-        limit_lo, limit_hi = eps, min(float(c_a[-1]), float(c_b[-1]))
+        limit_lo, limit_hi = _LOBE_EPS, min(float(c_a[-1]), float(c_b[-1]))
     else:
-        limit_lo, limit_hi = max(float(c_a[0]), float(c_b[0])), -eps
+        limit_lo, limit_hi = max(float(c_a[0]), float(c_b[0])), -_LOBE_EPS
     width = limit_hi - limit_lo
     if limit_hi <= limit_lo:
         return -1.0, width  # lobe entirely missing: strongly "closed"
@@ -238,6 +270,47 @@ def _lobe(curves, lobe: int) -> Tuple[float, float]:
     vb = np.interp(c, c_b, v_b)
     separation = (vb - va) if lobe == 0 else (va - vb)
     return float(np.max(separation)) / 2.0, width
+
+
+def _lobe_spans(
+    grid: np.ndarray, lo: np.ndarray, hi: np.ndarray, lobes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[start, stop)`` of the points each VTC row can feed its lane's lobe with.
+
+    ``grid``, ``lo`` and ``hi`` are ``(2k, G)``, stacked as in
+    :meth:`SnmSession._block`: row ``i < k`` is lane ``i``'s S-driving VTC
+    (curve B, ``c = s - grid``, falling along the row), row ``k + i`` its
+    SB-driving one (curve A, ``c = grid - sb``, rising).  Any later VTC value
+    lies in ``[lo, hi]``, and rounding is monotone, so each point's ``c``
+    lies in ``[L, U]`` computed from the bracket.  :func:`_lobe` reads lobe
+    0 only at ``c >= eps``: there ``np.interp`` never uses a point before the
+    last one with ``U <= eps`` on the rising curve A (after the first on
+    curve B).  Lobe 1 reads ``c <= -eps`` and never uses a point after the
+    first with ``L > -eps`` on curve A (before the last on curve B); it
+    must be strict, since at a tie ``np.interp`` takes the last of equal
+    abscissae.  The kept ends hold each curve's own c-limits, so the lobe's
+    limits and width keep their bits too (DESIGN §27).
+    """
+    k = len(lobes)
+    curve_a = (np.arange(2 * k) >= k)[:, None]
+    lobe0 = (np.tile(lobes, 2) == 0)[:, None]
+    upper = np.where(curve_a, grid - lo, hi - grid)
+    lower = np.where(curve_a, grid - hi, lo - grid)
+    bound = np.where(lobe0, upper <= _LOBE_EPS, lower > -_LOBE_EPS)
+    # Rising curve A on lobe 0 and falling curve B on lobe 1 keep a suffix
+    # from the last bounding point; the other two a prefix to the first.
+    suffix = (curve_a == lobe0)[:, 0]
+    points = grid.shape[1]
+    last = points - 1 - np.argmax(bound[:, ::-1], axis=1)
+    first = np.argmax(bound, axis=1)
+    return np.where(suffix, last, 0), np.where(suffix, points, first + 1)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated ``np.arange(starts[r], stops[r])`` over every ``r``."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _lobe_separations(

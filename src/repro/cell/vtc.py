@@ -9,16 +9,21 @@ eye, so it is part of the VTC by construction.
 
 The output voltage for a whole array of input voltages is found with a
 vectorised bisection on the node's KCL residual, which is strictly monotone
-in the output voltage.  Only the output (every device's drain) moves during
-the bisection, so each device's drain-independent half of the EKV current is
-computed once per solve (:meth:`MosfetModel.drain_sweep`); the residual is
-bit-identical to summing three ``ids_value`` calls.
+in the output voltage.  :class:`HalfCellKernel` evaluates that residual with
+the pull-down, the pass gate and the pull-up as one stacked EKV model
+(:meth:`MosfetModel.stack_roles`): only the output (every device's drain)
+moves during the bisection, so the drain-independent gate halves are formed
+once per solve, and a step is one ``(3, ...)`` pass through
+:meth:`MosfetModel._drain_half`.  The residual is bit-identical to summing
+three ``ids_value`` calls (DESIGN §19, §27).
 
 The bisection's whole state is its bracket ``(lo, hi)``: :func:`bisect_output`
 advances a bracket by any number of steps, so a solve stopped after ``s``
 steps and resumed for ``44 - s`` more ends on the same bits as 44 steps in
-one go.  :class:`~repro.cell.snm.SnmSession` uses that to stop most of the
-DRV search's VTCs early (DESIGN §24).
+one go, and :meth:`HalfCellKernel.take` resumes any subset of the points.
+:class:`~repro.cell.snm.SnmSession` uses both to stop most of the DRV
+search's VTCs early and to bisect only the points a lobe reads (DESIGN §24,
+§27).
 """
 
 from __future__ import annotations
@@ -39,31 +44,107 @@ _BISECTION_STEPS = 44
 _METASTABLE_STEPS = 12
 
 
-def supply_bracket(v_in, vdd_cell) -> Tuple[np.ndarray, np.ndarray]:
+def supply_bracket(v_in, vdd_cell, source: str) -> Tuple[np.ndarray, np.ndarray]:
     """The starting bracket ``[0, vdd]`` at the broadcast shape of the inputs.
 
-    Raises ``ValueError`` for a negative or NaN supply: the bracket would be
-    inverted, or the curve NaN.
+    Raises ``ValueError``, naming ``source``, for a negative or NaN supply:
+    the bracket would be inverted, or the curve NaN.
     """
     vdd_cell = np.asarray(vdd_cell, dtype=float)
     if not np.all(vdd_cell >= 0.0):
         bad = vdd_cell[~(vdd_cell >= 0.0)].flat[0]
-        raise ValueError(f"inverter_vtc: negative cell supply or NaN: {bad:g} V")
+        raise ValueError(f"{source}: negative cell supply or NaN: {bad:g} V")
     shape = np.broadcast_shapes(np.shape(v_in), vdd_cell.shape)
     return np.zeros(shape), np.broadcast_to(vdd_cell, shape).astype(float, copy=True)
 
 
-def output_residual(
-    v_in, vdd_cell, pullup: MosfetModel, pulldown: MosfetModel, pass_gate: MosfetModel
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``v_out -> `` KCL residual at a half-cell's output, gate halves computed once.
+def half_cell_roles(pullup: MosfetModel, pulldown: MosfetModel, pass_gate: MosfetModel, ndim: int):
+    """The device stack :class:`HalfCellKernel` takes, for ``ndim``-axis points."""
+    return MosfetModel.stack_roles((pulldown, pass_gate, pullup), ndim)
 
-    Valid for ``0 <= v_out <= vdd``, the drain side of all three devices.
+
+class HalfCellKernel:
+    """``v_out ->`` KCL residual at half-cell outputs, the three devices as one EKV stack.
+
+    ``devices`` is :func:`half_cell_roles`: (pull-down, pass gate, pull-up)
+    on a leading axis.  Each device is evaluated in the NMOS convention on
+    its drain side, valid for ``0 <= v_out <= vdd``:
+
+    * pull-down: ``vgs = v_in``, ``vds = v_out``;
+    * pass gate (gate and bit line at 0 V): ``vgs = 0``, ``vds = v_out``;
+    * pull-up, terminals negated: ``vgs = vdd - v_in``, ``vds = vdd - v_out``
+      (exactly ``(-v_in) - (-vdd)`` and ``(-v_out) - (-vdd)``).
+
+    The residual is ``(i_down + i_pass) - i_up``, which is exactly the old
+    ``i_down + i_pass + (-i_up)``.  The gate halves are formed once, at
+    construction; :meth:`take` keeps them for a flat subset of the points.
     """
-    i_down = pulldown.drain_sweep(v_in, 0.0)
-    i_pass = pass_gate.drain_sweep(0.0, 0.0)
-    i_up = pullup.drain_sweep(v_in, vdd_cell)
-    return lambda v_out: i_down(v_out) + i_pass(v_out) + i_up(v_out)
+
+    def __init__(self, devices: MosfetModel, v_in, vdd_cell) -> None:
+        v_in = np.asarray(v_in, dtype=float)
+        vdd_cell = np.asarray(vdd_cell, dtype=float)
+        shape = np.broadcast_shapes(v_in.shape, vdd_cell.shape)
+        vgs = np.empty((3,) + shape)
+        vgs[0] = v_in
+        vgs[1] = 0.0
+        np.subtract(vdd_cell, v_in, out=vgs[2, ...])
+        a, _, _, f_f = devices._gate_half(vgs)
+        # The supply gets every point axis, so take() can index it like the rest.
+        vdd_cell = vdd_cell.reshape((1,) * (len(shape) - vdd_cell.ndim) + vdd_cell.shape)
+        self._init(devices, a, f_f, vdd_cell)
+
+    def _init(self, devices, a, f_f, vdd_cell) -> None:
+        self.devices = devices
+        self.a = a
+        self.f_f = f_f
+        self.vdd = vdd_cell
+        self._vds = np.empty(a.shape)
+        self._vds_up = self._vds[2, ...]
+
+    def residual(self, v_out) -> np.ndarray:
+        """The KCL residual at ``v_out`` (the points' shape); positive when it is too high."""
+        vds = self._vds
+        vds[:2] = v_out
+        np.subtract(self.vdd, v_out, out=self._vds_up)
+        *_, clm, base = self.devices._drain_half(self.a, self.f_f, vds)
+        # On 0-d points these are NumPy scalars, whose arithmetic is cheaper.
+        i_down, i_pass, i_up = np.multiply(base, clm, out=base)
+        return (i_down + i_pass) - i_up
+
+    def take(self, index) -> "HalfCellKernel":
+        """The kernel on the points ``index`` (flat, C order) only, as a 1-D point axis.
+
+        Gate halves, per-point device parameters and supplies are gathered,
+        not recomputed: every operation is elementwise, so each kept point's
+        residual keeps its bits.
+        """
+        shape = self.a.shape[1:]
+        devices = self.devices._with_params(
+            self.devices, lambda attr: _take_points(getattr(self.devices, attr), index, shape)
+        )
+        kept = HalfCellKernel.__new__(HalfCellKernel)
+        kept._init(
+            devices,
+            _take_points(self.a, index, shape),
+            _take_points(self.f_f, index, shape),
+            _take_points(self.vdd[None], index, shape)[0],
+        )
+        return kept
+
+
+def _take_points(values: np.ndarray, index: np.ndarray, shape) -> np.ndarray:
+    """``values``, broadcast to ``values.shape[:1] + shape``, at the flat point indices ``index``.
+
+    An axis of length 1 in ``values`` (a per-row parameter column, a
+    scalar supply) is broadcast, so its coordinate is 0 for every point.
+    """
+    own = values.shape[1:]
+    if own != shape:
+        coords = np.unravel_index(index, shape)
+        index = np.ravel_multi_index(
+            [c if n > 1 else np.zeros_like(c) for c, n in zip(coords, own)], own
+        )
+    return np.take(values.reshape(len(values), -1), index, axis=1)
 
 
 def bisect_output(
@@ -98,10 +179,10 @@ def inverter_vtc(
     after :data:`_BISECTION_STEPS` steps.  Raises ``ValueError`` for a
     negative or NaN supply (see :func:`supply_bracket`).
     """
-    v_in = np.asarray(v_in, dtype=float)
-    lo, hi = supply_bracket(v_in, vdd_cell)
-    residual = output_residual(v_in, vdd_cell, pullup, pulldown, pass_gate)
-    lo, hi = bisect_output(residual, lo, hi, _BISECTION_STEPS)
+    lo, hi = supply_bracket(v_in, vdd_cell, "inverter_vtc")
+    devices = half_cell_roles(pullup, pulldown, pass_gate, lo.ndim)
+    kernel = HalfCellKernel(devices, v_in, vdd_cell)
+    lo, hi = bisect_output(kernel.residual, lo, hi, _BISECTION_STEPS)
     return 0.5 * (lo + hi)
 
 
@@ -120,13 +201,14 @@ def metastable_bracket(
     ``S = SB``, which bounds the hold-state iterates that
     :func:`repro.cell.retention.retains` certifies from (DESIGN §25).
     :data:`_METASTABLE_STEPS` steps from ``[0, vdd]`` leave a bracket
-    ``vdd * 2^-12`` wide; every step re-forms the gate halves, since the
-    gate moves with the drain.
+    ``vdd * 2^-12`` wide.  The device stack is formed once; every step
+    re-forms the gate halves, since the gate moves with the drain.
     """
-    lo, hi = supply_bracket(0.0, vdd_cell)
+    lo, hi = supply_bracket(0.0, vdd_cell, "metastable_bracket")
+    devices = half_cell_roles(pullup, pulldown, pass_gate, lo.ndim)
 
     def tied(x):
-        return output_residual(x, vdd_cell, pullup, pulldown, pass_gate)(x)
+        return HalfCellKernel(devices, x, vdd_cell).residual(x)
 
     return bisect_output(tied, lo, hi, _METASTABLE_STEPS)
 

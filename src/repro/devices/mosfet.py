@@ -140,69 +140,106 @@ class MosfetModel:
         self.n = params.slope
         self.lambda_ = params.lambda_
         self._i0 = 2.0 * self.n * self.beta * self.phi_t**2
+        #: ``2 n phi_t``: dividing by it gives ``u / 2`` in one rounding.
+        self._two_n_phi = 2.0 * (self.n * self.phi_t)
         #: Total gate-leak conductance (S); split evenly over the two overlaps.
         self.gate_leak_g = params.gate_leak_density * params.w * params.l
 
+    #: The parameters :meth:`_gate_half` and :meth:`_drain_half` read.
+    _CURRENT_PARAMS = ("vth_eff", "n", "phi_t", "lambda_", "_i0", "_two_n_phi")
+
+    @classmethod
+    def _with_params(cls, first: "MosfetModel", column) -> "MosfetModel":
+        """A bare model named after ``first`` whose current parameters are ``column(attr)``."""
+        stacked = cls.__new__(cls)
+        stacked.params = first.params
+        stacked.name = first.name
+        for attr in cls._CURRENT_PARAMS:
+            setattr(stacked, attr, column(attr))
+        return stacked
+
     @classmethod
     def stack(cls, models: Sequence["MosfetModel"]) -> "MosfetModel":
-        """One model whose ``vth_eff, n, phi_t, lambda_, _i0`` are ``(R, 1)`` columns.
+        """One model whose current parameters are ``(R, 1)`` columns.
 
         The current is elementwise in them, so row ``r`` of :meth:`ids_value`
-        or :meth:`drain_sweep` is ``models[r]``'s result bit for bit.  The
-        models must share a polarity; only those two entry points are served.
+        is ``models[r]``'s result bit for bit.  The models must share a
+        polarity; only :meth:`ids_value` and :meth:`stack_roles` are served.
         """
         if len({m.params.polarity for m in models}) != 1:
             raise ValueError("MosfetModel.stack: models must share one polarity")
-        stacked = cls.__new__(cls)
-        stacked.params = models[0].params
-        stacked.name = models[0].name
-        for attr in ("vth_eff", "n", "phi_t", "lambda_", "_i0"):
-            column = np.array([getattr(m, attr) for m in models], dtype=float)
-            setattr(stacked, attr, column[:, None])
-        return stacked
+        return cls._with_params(
+            models[0],
+            lambda attr: np.array([getattr(m, attr) for m in models], dtype=float)[:, None],
+        )
+
+    @classmethod
+    def stack_roles(cls, roles: Sequence["MosfetModel"], ndim: int) -> "MosfetModel":
+        """``D`` device roles, scalar or :meth:`stack` ed alike, on a leading role axis.
+
+        Each current parameter gets shape ``(D,) + (1,) * k + s``, where
+        ``s`` is its shape in the roles and ``k`` pads it to ``ndim`` axes, so
+        it broadcasts against ``(D,) + shape`` for any ``ndim``-axis points.
+        The roles may differ in polarity: the caller forms each role's
+        ``vgs`` and ``vds`` in the NMOS convention and applies the sign, so
+        only :meth:`_gate_half` and :meth:`_drain_half` are served
+        (:class:`repro.cell.vtc.HalfCellKernel`).
+        """
+
+        def column(attr):
+            values = np.array([getattr(m, attr) for m in roles], dtype=float)
+            pad = (1,) * (ndim + 1 - values.ndim)
+            return values.reshape((len(roles),) + pad + values.shape[1:])
+
+        return cls._with_params(roles[0], column)
 
     # ------------------------------------------------------------------ core
     def _gate_half(self, vgs):
-        """Drain-independent half of the EKV current: ``(a, u_f, sp_f, f_f)``.
+        """Drain-independent half of the EKV current: ``(a, h_f, sp_f, f_f)``.
 
         ``a = vgs - vth_eff`` is the overdrive both normalised voltages
-        start from; ``f_f = F(u_f)`` is the forward term.
+        start from; ``h_f = u_f / 2`` and ``f_f = F(u_f)`` is the forward
+        term.  ``a / (2 n phi_t)`` is ``(a / (n phi_t)) / 2`` bit for bit:
+        scaling by 2 commutes with rounding, and no operand is subnormal.
         """
         a = vgs - self.vth_eff
-        u_f = a / (self.n * self.phi_t)
-        sp_f = _softplus(u_f / 2.0)
-        return a, u_f, sp_f, sp_f * sp_f
+        h_f = a / self._two_n_phi
+        sp_f = _softplus(h_f)
+        return a, h_f, sp_f, sp_f * sp_f
 
     def _drain_half(self, a, f_f, vds):
-        """Drain-dependent half on a gate half: ``(u_r, sp_r, clm, base)``."""
-        u_r = (a - self.n * vds) / (self.n * self.phi_t)
-        sp_r = _softplus(u_r / 2.0)
+        """Drain-dependent half on a gate half: ``(h_r, sp_r, clm, base)``, ``h_r = u_r / 2``.
+
+        The drain current is ``base * clm``.
+        """
+        h_r = (a - self.n * vds) / self._two_n_phi
+        sp_r = _softplus(h_r)
         clm = 1.0 + self.lambda_ * vds
         base = self._i0 * (f_f - sp_r * sp_r)
-        return u_r, sp_r, clm, base
+        return h_r, sp_r, clm, base
 
     def _terms(self, vgs, vds):
         """Shared front half of the EKV current for vds >= 0.
 
-        Returns ``(u_f, u_r, sp_f, sp_r, clm, base)``; the drain current is
+        Returns ``(h_f, h_r, sp_f, sp_r, clm, base)``; the drain current is
         ``base * clm``.  It is :meth:`_gate_half` then :meth:`_drain_half`;
-        :meth:`_forward`, :meth:`ids_value` and :meth:`drain_sweep` all build
-        on those two, so there is one current expression.  The split is
-        exact: ``vgs - vth - n*vds`` already evaluates as
-        ``(vgs - vth) - n*vds``.
+        :meth:`_forward`, :meth:`ids_value` and the VTC kernel
+        (:class:`repro.cell.vtc.HalfCellKernel`) all build on those two, so
+        there is one current expression.  The split is exact: ``vgs - vth -
+        n*vds`` already evaluates as ``(vgs - vth) - n*vds``.
         """
-        a, u_f, sp_f, f_f = self._gate_half(vgs)
-        u_r, sp_r, clm, base = self._drain_half(a, f_f, vds)
-        return u_f, u_r, sp_f, sp_r, clm, base
+        a, h_f, sp_f, f_f = self._gate_half(vgs)
+        h_r, sp_r, clm, base = self._drain_half(a, f_f, vds)
+        return h_f, h_r, sp_f, sp_r, clm, base
 
     def _forward(self, vgs, vds):
         """NMOS-convention current for vds >= 0, with partials (vgs, vds)."""
         n_phi = self.n * self.phi_t
-        u_f, u_r, sp_f, sp_r, clm, base = self._terms(vgs, vds)
+        h_f, h_r, sp_f, sp_r, clm, base = self._terms(vgs, vds)
         i = base * clm
         # F'(u) = softplus(u/2) * sigmoid(u/2)
-        fp_f = sp_f * _sigmoid(u_f / 2.0)
-        fp_r = sp_r * _sigmoid(u_r / 2.0)
+        fp_f = sp_f * _sigmoid(h_f)
+        fp_r = sp_r * _sigmoid(h_r)
         di_dvgs = self._i0 * (fp_f - fp_r) / n_phi * clm
         di_dvds = self._i0 * fp_r / self.phi_t * clm + base * self.lambda_
         return i, di_dvgs, di_dvds
@@ -258,37 +295,6 @@ class MosfetModel:
         if result.ndim == 0:
             return float(result)
         return result
-
-    def drain_sweep(self, vg, vs):
-        """``vd -> ids_value(vg, vd, vs)`` with the gate half computed once.
-
-        For loops where only the drain moves (the VTC bisection).  Valid on
-        the drain side only: ``vd >= vs`` for NMOS, ``vd <= vs`` for PMOS.
-        There :meth:`ids_value` never swaps terminals and forms the same
-        ``vgs = vg - vs`` and ``vds = vd - vs`` (for PMOS ``(-vg) - (-vs)``
-        and ``(-vd) - (-vs)``, the same floats), so the result is the same
-        bit for bit.  Off the drain side nothing swaps the terminals, so the
-        result there is wrong.
-        """
-        pmos = self.params.polarity == "p"
-        vg = np.asarray(vg, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if pmos:
-            vg, vs = -vg, -vs
-        sign = -1.0 if pmos else 1.0
-        a, _, _, f_f = self._gate_half(vg - vs)
-
-        def ids_at(vd):
-            vd = np.asarray(vd, dtype=float)
-            if pmos:
-                vd = -vd
-            *_, clm, base = self._drain_half(a, f_f, vd - vs)
-            result = sign * (base * clm)
-            if result.ndim == 0:
-                return float(result)
-            return result
-
-        return ids_at
 
     # --------------------------------------------------------------- parasitics
     def gate_capacitance(self) -> float:

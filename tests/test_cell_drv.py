@@ -22,8 +22,17 @@ from repro.cell.drv import (
     drv_lanes,
     worst_over_grid,
 )
-from repro.cell.snm import _BLOCK_ROWS, _COARSE_STEPS, _lobe_separations
-from repro.cell.vtc import inverter_vtc, vtc_pair
+from repro.cell.snm import (
+    _BLOCK_ROWS,
+    _COARSE_STEPS,
+    _curve_a,
+    _curve_b,
+    _diagonal_curves,
+    _lobe,
+    _lobe_separations,
+    _lobe_spans,
+)
+from repro.cell.vtc import bisect_output, inverter_vtc, vtc_pair
 from repro.devices import CellVariation
 from repro.devices.corners import CORNERS
 from repro.devices.pvt import PVT
@@ -311,6 +320,96 @@ class TestSignCertifiedSteps:
         width = vdds * 2.0 ** -_COARSE_STEPS
         assert present.sum() > n // 2
         assert np.all(np.abs(coarse - exact)[present] <= width[present])
+
+    @pytest.mark.parametrize(
+        "coarse_steps, cut_steps", [(22, 1), (22, 3), (22, 6), (22, 22), (8, 2), (8, 30), (1, 4)]
+    )
+    def test_drv_bits_at_any_cut_depth(self, monkeypatch, sign_reference, coarse_steps, cut_steps):
+        """Pre-passes shallower than, equal to and deeper than the coarse pass."""
+        monkeypatch.setattr(snm_module, "_COARSE_STEPS", coarse_steps)
+        monkeypatch.setattr(snm_module, "_CUT_STEPS", cut_steps)
+        rows, lobes = _lane_rows(SIGN_LANES)
+        with obs.recording() as rec:
+            values = drv_lanes(rows, lobes)
+        assert np.array_equal(values, sign_reference)
+        assert 0 < rec.counters["snm.points.kept"] <= rec.counters["snm.points.total"]
+
+    def test_cut_points_counted_per_sign_evaluation(self, mixed_call):
+        _, rec = mixed_call
+        paths = [path for *_, path in MIXED_LANES]
+        total = 16 * paths.count("bisect") * 2 * 256  # both VTC rows of every lane
+        assert rec.counters["snm.points.total"] == total
+        assert 0 < rec.counters["snm.points.kept"] < total // 2
+
+
+# ------------------------------------------------------------ lobe cut
+@pytest.fixture(scope="module")
+def synthetic_vtcs():
+    """Seeded logistic VTC pairs whose lobes run from missing through thin to wide.
+
+    Rows ``< k`` are S-driving (curve B), the rest SB-driving (curve A), as
+    :func:`_lobe_spans` stacks them.  Curve B's switching point sweeps the
+    supply and past both rails, so each lobe closes and then goes missing
+    (c-width <= 0) at one end of the sweep.
+    """
+    rng = np.random.default_rng(27)
+    k = 60
+    vdd = rng.uniform(0.05, 1.2, k)
+    grid = np.linspace(0.0, vdd, 256, axis=-1)
+    t_a = vdd * rng.uniform(0.3, 0.7, k)
+    t_b = vdd * np.linspace(-1.5, 2.5, k)
+    gain = vdd * rng.uniform(0.01, 0.1, (2, k))
+    s_of_sb = vdd[:, None] / (1.0 + np.exp((grid - t_b[:, None]) / gain[0][:, None]))
+    sb_of_s = vdd[:, None] / (1.0 + np.exp((grid - t_a[:, None]) / gain[1][:, None]))
+    return grid, np.concatenate([s_of_sb, sb_of_s]), np.tile(vdd, 2)[:, None]
+
+
+def _brackets(targets, lo, hi, steps):
+    """``steps`` bisection steps toward ``targets``, as a VTC row's brackets shrink."""
+    return bisect_output(lambda mid: mid - targets, lo, hi, steps)
+
+
+class TestLobeCut:
+    """``_lobe`` on the cut curves equals ``_lobe`` on the full ones (DESIGN §27)."""
+
+    @pytest.mark.parametrize("depth", range(1, 23))
+    def test_cut_curves_read_the_same_lobe(self, synthetic_vtcs, depth):
+        grid, targets, supplies = synthetic_vtcs
+        k = len(grid)
+        lo, hi = _brackets(targets, np.zeros(targets.shape), supplies + 0.0 * targets, depth)
+        for lobe in (0, 1):
+            starts, stops = _lobe_spans(np.tile(grid, (2, 1)), lo, hi, np.full(k, lobe))
+            # Curves read after the cut: the cut bracket's midpoints, the
+            # coarse pass's, and the exact ones.
+            for later in sorted({depth, 22, 44}):
+                vtcs = 0.5 * np.add(*_brackets(targets, lo, hi, later - depth))
+                for i in range(k):
+                    a, b = k + i, i
+                    cut = _curve_a(grid[i, starts[a]:stops[a]], vtcs[a, starts[a]:stops[a]])
+                    cut += _curve_b(grid[i, starts[b]:stops[b]], vtcs[b, starts[b]:stops[b]])
+                    full = _diagonal_curves(grid[i], vtcs[b], vtcs[a])
+                    assert _lobe(cut, lobe) == _lobe(full, lobe)
+
+    def test_rows_cover_missing_thin_and_open_lobes(self, synthetic_vtcs):
+        grid, targets, supplies = synthetic_vtcs
+        k = len(grid)
+        for lobe in (0, 1):
+            snm, width = np.array([
+                _lobe(_diagonal_curves(grid[i], targets[i], targets[k + i]), lobe)
+                for i in range(k)
+            ]).T
+            assert (snm == -1.0).sum() >= 3
+            assert ((width > 0.0) & (width < 0.02 * supplies[:k, 0])).sum() >= 1
+            assert (snm > 0.01).sum() >= 10
+
+    def test_cut_keeps_under_half_the_grid(self, synthetic_vtcs):
+        grid, targets, supplies = synthetic_vtcs
+        k = len(grid)
+        lo, hi = _brackets(targets, np.zeros(targets.shape), supplies + 0.0 * targets, 4)
+        for lobe in (0, 1):
+            starts, stops = _lobe_spans(np.tile(grid, (2, 1)), lo, hi, np.full(k, lobe))
+            assert np.all((0 <= starts) & (starts < stops) & (stops <= 256))
+            assert (stops - starts).sum() < 0.6 * targets.size
 
 
 class TestBatchInputs:

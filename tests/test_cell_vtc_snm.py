@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cell import DEFAULT_CELL, butterfly_curves, inverter_vtc, snm_ds
-from repro.cell.vtc import vtc_pair
-from repro.devices import CellVariation
+from repro.cell.snm import SnmSession
+from repro.cell.vtc import HalfCellKernel, half_cell_roles, metastable_bracket, vtc_pair
+from repro.devices import CORNERS, CellVariation, MosfetModel
+from repro.devices.variation import CELL_TRANSISTORS
 
 SYM = CellVariation.symmetric()
 
@@ -105,6 +107,94 @@ class TestInverterVTCExactness:
             inverter_vtc(np.array([0.0, -0.1]), -0.2, *devices)
         with pytest.raises(ValueError, match="negative cell supply"):
             inverter_vtc(np.array([0.0, 0.1]), np.array([[0.5], [-1e-12]]), *devices)
+
+
+def _reference_residual(v_in, v_out, vdd_cell, pullup, pulldown, pass_gate):
+    """The KCL residual as three ``ids_value`` calls, summed down + pass + up."""
+    return (
+        pulldown.ids_value(v_in, v_out, 0.0)
+        + pass_gate.ids_value(0.0, v_out, 0.0)
+        + pullup.ids_value(v_in, v_out, vdd_cell)
+    )
+
+
+def _same_bytes(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+HALVES = (("mpcc1", "mncc1", "mncc3"), ("mpcc2", "mncc2", "mncc4"))
+
+
+class TestHalfCellKernel:
+    """The stacked ``(3, ...)`` residual is the three-``ids_value`` sum, byte for byte."""
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    @pytest.mark.parametrize("temp", [-40.0, 25.0, 125.0])
+    def test_residual_matches_three_ids_value(self, corner, temp):
+        rng = np.random.default_rng([sorted(CORNERS).index(corner), int(temp) + 40])
+        m = _models(CellVariation(*rng.normal(0.0, 2.0, len(CELL_TRANSISTORS))), corner, temp)
+        for half in HALVES:
+            devices = [m[name] for name in half]
+            # 0-d, 1-D, and a (V, G) grid against (V, 1) supplies with a 0 V row.
+            vdd = float(rng.uniform(0.0, 1.2))
+            supplies = np.concatenate([[0.0], rng.uniform(0.0, 1.2, 4)])[:, None]
+            cases = [
+                (rng.uniform(0.0, vdd), rng.uniform(0.0, vdd), vdd),
+                (rng.uniform(0.0, vdd, 9), rng.uniform(0.0, vdd, 9), vdd),
+                (rng.uniform(0.0, 1.0, (5, 7)) * supplies,
+                 rng.uniform(0.0, 1.0, (5, 7)) * supplies, supplies),
+            ]
+            # The bracket ends: v_out at 0 and at the supply exactly.
+            cases.append((rng.uniform(0.0, vdd, 4), np.array([0.0, vdd, 0.0, vdd]), vdd))
+            for v_in, v_out, supply in cases:
+                ndim = np.broadcast(v_in, supply).ndim
+                kernel = HalfCellKernel(half_cell_roles(*devices, ndim), v_in, supply)
+                got = kernel.residual(np.asarray(v_out, dtype=float))
+                assert _same_bytes(got, _reference_residual(v_in, v_out, supply, *devices))
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_stacked_rows_and_flat_points(self, corner):
+        """``(2k, G)`` rows with per-row parameters, then gathered flat points."""
+        rng = np.random.default_rng(sorted(CORNERS).index(corner))
+        temps = [-40.0, 25.0, 125.0]
+        cells = [
+            _models(CellVariation(*rng.normal(0.0, 2.0, len(CELL_TRANSISTORS))), corner, t)
+            for t in temps
+        ]
+        rows = [(cell, half) for half in HALVES for cell in cells]
+        vdd = rng.uniform(0.05, 1.2, len(rows))[:, None]
+        v_in = rng.uniform(0.0, 1.0, (len(rows), 16)) * vdd
+        v_out = rng.uniform(0.0, 1.0, v_in.shape) * vdd
+        pullup, pulldown, pass_gate = (
+            MosfetModel.stack([cell[half[role]] for cell, half in rows]) for role in range(3)
+        )
+        kernel = HalfCellKernel(half_cell_roles(pullup, pulldown, pass_gate, 2), v_in, vdd)
+        full = kernel.residual(v_out).copy()
+        for r, (cell, half) in enumerate(rows):
+            reference = _reference_residual(v_in[r], v_out[r], vdd[r], *(cell[n] for n in half))
+            assert _same_bytes(full[r], reference)
+        flat = np.sort(rng.choice(v_in.size, v_in.size // 3, replace=False))
+        taken = kernel.take(flat)
+        assert _same_bytes(taken.residual(v_out.ravel()[flat]), full.ravel()[flat])
+        # A take of a take, in another order: points never mix.
+        again = rng.permutation(len(flat))[: len(flat) // 2]
+        assert _same_bytes(
+            taken.take(again).residual(v_out.ravel()[flat[again]]), full.ravel()[flat[again]]
+        )
+
+
+class TestSupplyErrors:
+    """A negative supply is reported by the entry point that was given it."""
+
+    def test_each_caller_names_itself(self):
+        m = _models()
+        with pytest.raises(ValueError, match="^SnmSession: negative cell supply"):
+            SnmSession([(SYM, "typical", 25.0)]).snm(-0.1)
+        with pytest.raises(ValueError, match="^metastable_bracket: negative cell supply"):
+            metastable_bracket(-0.1, m["mpcc1"], m["mncc1"], m["mncc3"])
+        with pytest.raises(ValueError, match="^inverter_vtc: negative cell supply"):
+            inverter_vtc(0.1, -0.1, m["mpcc1"], m["mncc1"], m["mncc3"])
 
 
 class TestSNM:

@@ -132,8 +132,32 @@ def _drain_side(vs, d, polarity):
     return vs + d if polarity == "n" else vs - d
 
 
+def _role_sweep(m, vg, vs, ndim):
+    """``vd ->`` drain current as the VTC kernel forms it for one role.
+
+    ``m`` is one role of a :meth:`MosfetModel.stack_roles` stack over
+    ``ndim``-axis points; the gate half is formed once.  NMOS: ``vgs = vg -
+    vs``, ``vds = vd - vs``; PMOS: ``vgs = vs - vg``, ``vds = vs - vd`` (the
+    negated terminals) and the current negated.
+    """
+    pmos = m.params.polarity == "p"
+    role = MosfetModel.stack_roles([m], ndim)
+    vg = np.asarray(vg, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    a, _, _, f_f = role._gate_half(np.expand_dims(vs - vg if pmos else vg - vs, 0))
+
+    def at(vd):
+        vd = np.asarray(vd, dtype=float)
+        vds = np.expand_dims(vs - vd if pmos else vd - vs, 0)
+        *_, clm, base = role._drain_half(a, f_f, vds)
+        current = (base * clm)[0]
+        return -current if pmos else current
+
+    return at
+
+
 class TestDrainSweep:
-    """``drain_sweep(vg, vs)(vd)`` is ``ids_value(vg, vd, vs)`` bit for bit."""
+    """The VTC kernel's per-role current is ``ids_value(vg, vd, vs)`` bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -147,8 +171,8 @@ class TestDrainSweep:
     def test_scalar(self, vg, vs, d, polarity):
         m = _nmos() if polarity == "n" else _pmos()
         vd = _drain_side(vs, d, polarity)
-        got = m.drain_sweep(vg, vs)(vd)
-        assert type(got) is float
+        got = _role_sweep(m, vg, vs, 0)(vd)
+        assert got.shape == ()
         assert got == m.ids_value(vg, vd, vs)
 
     @settings(max_examples=100, deadline=None)
@@ -161,7 +185,7 @@ class TestDrainSweep:
     def test_one_dimensional(self, vg, vs, ds, polarity):
         m = _nmos() if polarity == "n" else _pmos()
         vd = _drain_side(vs, np.array(ds + [0.0]), polarity)
-        sweep = m.drain_sweep(vg, vs)
+        sweep = _role_sweep(m, vg, vs, 1)
         assert np.array_equal(sweep(vd), m.ids_value(vg, vd, vs))
         # The gate half is reused across calls: a second sweep step agrees too.
         assert np.array_equal(sweep(vd[::-1]), m.ids_value(vg, vd[::-1], vs))
@@ -180,7 +204,7 @@ class TestDrainSweep:
         vs = np.array(vss)[:, None]
         d = frac * np.linspace(0.0, 1.4, vg.size)
         vd = _drain_side(vs, d, polarity)
-        got = m.drain_sweep(vg, vs)(vd)
+        got = _role_sweep(m, vg, vs, 2)(vd)
         assert got.shape == (vs.shape[0], vg.size)
         assert np.array_equal(got, m.ids_value(vg, vd, vs))
 
@@ -202,10 +226,10 @@ class TestStack:
         models = [make(t, CORNERS[corner], vth=0.4 + 0.01 * k) for k, t in enumerate(temps)]
         stacked = MosfetModel.stack(models)
         vd = _drain_side(vs, np.array(ds), polarity)
-        sweep = stacked.drain_sweep(vg, vs)(np.broadcast_to(vd, (len(models), vd.size)))
+        sweep = _role_sweep(stacked, vg, vs, 2)(np.broadcast_to(vd, (len(models), vd.size)))
         value = stacked.ids_value(vg, vd, vs)
         for r, m in enumerate(models):
-            assert np.array_equal(sweep[r], m.drain_sweep(vg, vs)(vd))
+            assert np.array_equal(sweep[r], _role_sweep(m, vg, vs, 1)(vd))
             assert np.array_equal(value[r], m.ids_value(vg, vd, vs))
 
     def test_mixed_polarity_rejected(self):

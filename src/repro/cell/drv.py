@@ -36,20 +36,26 @@ def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np
 
     Lane ``i`` is the cell ``rows[i] = (variation, corner, temp_c)`` and the
     lobe ``which[i]`` (0 -> DRV_DS1, 1 -> DRV_DS0; a scalar applies to every
-    lane).  Equal cells share a session row and equal lanes one search.  The
-    two endpoints are exact :meth:`~repro.cell.snm.SnmSession.snm` calls;
-    each bisection step is one sign-mode
-    :meth:`~repro.cell.snm.SnmSession.snm_batch` call, which reads only the
-    sign of each lane's SNM.  Those signs are exact, so each lane's value is
-    bit for bit that of an exact bisection of that lane alone.
+    lane).  Equal cells share a session row and equal lanes one search.
+    Every SNM evaluation reads one sign per search and runs in the sign
+    mode of :class:`~repro.cell.snm.SnmSession`: the floor is one
+    :meth:`~repro.cell.snm.SnmSession.snm` call over every search, the
+    ceiling one over the searches still open, and each bisection step one
+    :meth:`~repro.cell.snm.SnmSession.snm_batch` call.  Those signs are
+    exact, so each lane's value is bit for bit that of an exact bisection
+    of that lane alone.
 
-    Raises ``ValueError`` for a non-finite sigma in any lane: it would come
-    back as a floor or ceiling exit that looks like a real DRV.
+    Raises ``ValueError`` for a lobe other than the integer 0 or 1, and for
+    a non-finite sigma in any lane: it would come back as a floor or
+    ceiling exit that looks like a real DRV.
     """
+    which = np.asarray(which)
+    if which.size and (which.dtype.kind not in "iu" or not np.isin(which, (0, 1)).all()):
+        raise ValueError(f"drv_lanes: every lobe must be the integer 0 (DS1) or 1 (DS0): {which}")
     keys = [(variation, corner, float(temp_c)) for variation, corner, temp_c in rows]
     if not keys:
         return np.empty(0)
-    lobes = np.broadcast_to(np.asarray(which, dtype=int), (len(keys),))
+    lobes = np.broadcast_to(which, (len(keys),))
     cells: dict = {}
     searches: dict = {}
     lane = np.array([
@@ -62,10 +68,11 @@ def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np
     session = SnmSession(list(cells), cell)
     result = np.empty(len(searches))
     # Stable all the way down to the search floor.
-    floor = session.snm(DRV_SEARCH_LO)[row, lobe] > 0.0
+    floor = session.snm(DRV_SEARCH_LO, row, lobe) > 0.0
     ceiling = np.zeros_like(floor)
-    if not floor.all():  # cannot hold the state even at full supply
-        ceiling = ~floor & (session.snm(DRV_SEARCH_HI)[row, lobe] < 0.0)
+    open_ = np.flatnonzero(~floor)
+    if len(open_):  # cannot hold the state even at full supply
+        ceiling[open_] = session.snm(DRV_SEARCH_HI, row[open_], lobe[open_]) < 0.0
     active = ~(floor | ceiling)
     result[floor] = DRV_SEARCH_LO
     result[ceiling] = DRV_SEARCH_HI

@@ -49,15 +49,19 @@ _DIAG_POINTS = 320
 #: 2-vCPU Xeon.
 _BLOCK_ROWS = 32
 
-#: VTC bisection steps of the sign mode's coarse pass.  Its brackets are
-#: ``vdd * 2^-22`` wide (~3e-7 V at 1.2 V).
-_COARSE_STEPS = 22
+#: Rungs of the sign mode's certification ladder: at each depth the
+#: undecided lanes' VTC brackets are ``vdd * 2^-depth`` wide, and every lane
+#: whose SNM sign the bracket settles drops out; the rest go on to the next
+#: rung and at last to the full :data:`~repro.cell.vtc._BISECTION_STEPS`.
+#: Over tiny Table I + Fig. 4 the rungs settle 72, 96 and 116 of 310 sign
+#: evaluations, and 26 go on to the full depth (DESIGN §28).
+_CERTIFY_DEPTHS = (8, 14, 22)
 
 #: Steps of the sign mode's pre-pass over every grid point, after which each
 #: VTC row is cut to the points its lane's lobe can read (DESIGN §27).  The
 #: kept share falls from 48% at 2 steps to 42% at 3 and barely moves up to 8,
-#: while every pre-pass step runs on the whole grid.  A value above
-#: :data:`_COARSE_STEPS` acts as that.
+#: while every pre-pass step runs on the whole grid.  A value above the
+#: first rung of :data:`_CERTIFY_DEPTHS` acts as that.
 _CUT_STEPS = 3
 
 #: Half-width of the gap around ``c = 0`` that :func:`_lobe` leaves out:
@@ -65,8 +69,8 @@ _CUT_STEPS = 3
 _LOBE_EPS = 1e-6
 
 #: A coarse SNM sign is certified when both |SNM| and the lobe's c-width
-#: exceed this many coarse bracket widths.  The coarse SNM lies within ~1.5
-#: widths of the exact one (DESIGN §24).
+#: exceed this many bracket widths of its rung.  The coarse SNM lies within
+#: ~1.5 widths of the exact one (DESIGN §24).
 _CERTIFY_MARGIN = 16
 
 #: (pull-up, pull-down, pass gate) of the inverter driving S, then SB.
@@ -90,10 +94,12 @@ class SnmSession:
 
     :meth:`snm_batch` with ``lobes`` is the DRV search's sign mode.  After a
     :data:`_CUT_STEPS` pre-pass it keeps, per VTC row, only the grid points
-    that can reach the lane's lobe (:func:`_lobe_spans`); it stops those at
-    :data:`_COARSE_STEPS` steps, keeps the lanes whose SNM sign the coarse
-    curves already settle, and resumes only the rest to the full
-    :data:`~repro.cell.vtc._BISECTION_STEPS` (DESIGN §24, §27).  Without
+    that can reach the lane's lobe (:func:`_lobe_spans`).  It then climbs the
+    :data:`_CERTIFY_DEPTHS` ladder: at each rung the lanes whose SNM sign
+    the coarse curves already settle stop, and only the rest bisect on, to
+    the next rung and at last to the full
+    :data:`~repro.cell.vtc._BISECTION_STEPS` (DESIGN §24, §27, §28).
+    :meth:`snm` with ``lobes`` is the same mode at one supply.  Without
     ``lobes`` every point runs all the steps, so :meth:`snm` and
     :meth:`snm_batch` are exact.
     """
@@ -108,14 +114,23 @@ class SnmSession:
         self.cell = cell
         self.points = points
         self._models = [cell.models(*row) for row in self.rows]
+        self._stacks: Dict[Tuple[int, ...], MosfetModel] = {}
 
     def _stacked(self, block: Sequence[int]) -> MosfetModel:
-        """(pull-down, pass gate, pull-up) of ``block``'s S-driving over SB-driving inverters."""
-        pullup, pulldown, pass_gate = (
-            MosfetModel.stack([self._models[r][inv[role]] for inv in _INVERTERS for r in block])
-            for role in range(3)
-        )
-        return half_cell_roles(pullup, pulldown, pass_gate, 2)
+        """(pull-down, pass gate, pull-up) of ``block``'s S-driving over SB-driving inverters.
+
+        Built once per row tuple: the DRV search's bisection steps evaluate
+        the same blocks at new supplies, and the stack holds no supply.
+        """
+        key = tuple(block)
+        stack = self._stacks.get(key)
+        if stack is None:
+            pullup, pulldown, pass_gate = (
+                MosfetModel.stack([self._models[r][inv[role]] for inv in _INVERTERS for r in key])
+                for role in range(3)
+            )
+            stack = self._stacks[key] = half_cell_roles(pullup, pulldown, pass_gate, 2)
+        return stack
 
     def _block(
         self, vdd: np.ndarray, block: Sequence[int], lobes: Optional[np.ndarray]
@@ -131,7 +146,7 @@ class SnmSession:
             lo, hi = bisect_output(kernel.residual, lo, hi, _BISECTION_STEPS)
             vtcs = 0.5 * (lo + hi)
             return np.array([_lobe_separations(grid[i], vtcs[i], vtcs[k + i]) for i in range(k)])
-        steps = min(_CUT_STEPS, _COARSE_STEPS)
+        steps = min(_CUT_STEPS, _CERTIFY_DEPTHS[0])
         lo, hi = bisect_output(kernel.residual, lo, hi, steps)
         starts, stops = _lobe_spans(inputs, lo, hi, lobes)
         rows = np.arange(2 * k)
@@ -139,41 +154,64 @@ class SnmSession:
         obs.count("snm.points.kept", len(kept))
         obs.count("snm.points.total", lo.size)
         kernel = kernel.take(kept)
-        lo, hi = bisect_output(
-            kernel.residual, lo.ravel()[kept], hi.ravel()[kept], _COARSE_STEPS - steps
-        )
-        # Row r's kept points are vtcs[offsets[r]:offsets[r + 1]].
-        offsets = np.concatenate([[0], np.cumsum(stops - starts)])
+        lo, hi = lo.ravel()[kept], hi.ravel()[kept]
+        lengths = stops - starts
 
-        def lane(i, vtcs):
+        def lane(i, s_of_sb, sb_of_s):
             b, a = i, k + i
-            curves = _curve_a(grid[i, starts[a]:stops[a]], vtcs[offsets[a]:offsets[a + 1]])
-            curves += _curve_b(grid[i, starts[b]:stops[b]], vtcs[offsets[b]:offsets[b + 1]])
+            curves = _curve_a(grid[i, starts[a]:stops[a]], sb_of_s)
+            curves += _curve_b(grid[i, starts[b]:stops[b]], s_of_sb)
             return _lobe(curves, lobes[i])
 
-        # The exact curves lie inside the coarse brackets, so the coarse SNM
-        # is within ~1.5 bracket widths of the exact one.
-        vtcs = 0.5 * (lo + hi)
-        out, widths = np.array([lane(i, vtcs) for i in range(k)]).T
-        margin = _CERTIFY_MARGIN * vdd * 2.0 ** -_COARSE_STEPS
-        refine = np.flatnonzero(~((np.abs(out) > margin) & (widths > margin)))
-        obs.count("snm.certified", k - len(refine))
-        obs.count("snm.refined", len(refine))
-        if len(refine):
-            rows = np.concatenate([refine, k + refine])
-            take = _ranges(offsets[rows], offsets[rows + 1])
-            lo, hi = bisect_output(
-                kernel.take(take).residual, lo[take], hi[take], _BISECTION_STEPS - _COARSE_STEPS
-            )
-            vtcs[take] = 0.5 * (lo + hi)
-            for i in refine:
-                out[i] = lane(i, vtcs)[0]
+        # ``lanes`` are the undecided lanes; their VTC rows, S-driving over
+        # SB-driving, are all the kernel still holds.  The exact curves lie
+        # inside every rung's brackets, so a rung's SNM is within ~1.5
+        # bracket widths of the exact one.
+        out = np.empty(k)
+        lanes = np.arange(k)
+        rungs = [(depth, True) for depth in _CERTIFY_DEPTHS] + [(_BISECTION_STEPS, False)]
+        for depth, certify in rungs:
+            lo, hi = bisect_output(kernel.residual, lo, hi, depth - steps)
+            steps = depth
+            n = len(lanes)
+            offsets = np.cumsum(np.concatenate([[0], lengths[lanes], lengths[k + lanes]]))
+            vtcs = 0.5 * (lo + hi)
+            out[lanes], widths = np.array([
+                lane(i, vtcs[offsets[j]:offsets[j + 1]], vtcs[offsets[n + j]:offsets[n + j + 1]])
+                for j, i in enumerate(lanes)
+            ]).T
+            if not certify:
+                break
+            margin = _CERTIFY_MARGIN * vdd[lanes] * 2.0 ** -depth
+            undecided = np.flatnonzero(~((np.abs(out[lanes]) > margin) & (widths > margin)))
+            if len(undecided) == n:
+                continue
+            lanes = lanes[undecided]
+            if not len(lanes):
+                break
+            vtc_rows = np.concatenate([undecided, n + undecided])
+            take = _ranges(offsets[vtc_rows], offsets[vtc_rows + 1])
+            kernel, lo, hi = kernel.take(take), lo[take], hi[take]
+        obs.count("snm.certified", k - len(lanes))
+        obs.count("snm.refined", len(lanes))
         return out
 
     def _separations(
-        self, vdds: np.ndarray, rows: Sequence[int], lobes: Optional[np.ndarray] = None
+        self, vdds: np.ndarray, rows: Sequence[int], lobes, source: str
     ) -> np.ndarray:
-        """:meth:`_block` over blocks of at most :data:`_BLOCK_ROWS` rows."""
+        """:meth:`_block` over blocks of at most :data:`_BLOCK_ROWS` rows.
+
+        Raises ``ValueError``, naming ``source``, unless ``lobes`` (if given)
+        holds one entry per row and every lobe is 0 or 1.
+        """
+        if lobes is not None:
+            lobes = np.asarray(lobes)
+            if lobes.shape != (len(rows),):
+                raise ValueError(f"{source}: {lobes.size} lobes for {len(rows)} rows")
+            if not ((lobes == 0) | (lobes == 1)).all():
+                raise ValueError(f"{source}: every lobe must be 0 (DS1) or 1 (DS0)")
+            lobes = lobes.astype(int)
+        obs.count("snm.evaluations", len(rows))
         out = np.empty((len(rows), 2) if lobes is None else len(rows))
         for start in range(0, len(rows), _BLOCK_ROWS):
             end = start + _BLOCK_ROWS
@@ -182,10 +220,16 @@ class SnmSession:
             )
         return out
 
-    def snm(self, vdd_cell: float) -> np.ndarray:
-        """``(R, 2)`` array of every row's exact (SNM_DS1, SNM_DS0) at one supply."""
-        obs.count("snm.evaluations", len(self.rows))
-        return self._separations(np.full(len(self.rows), float(vdd_cell)), range(len(self.rows)))
+    def snm(self, vdd_cell: float, rows: Optional[Sequence[int]] = None, lobes=None) -> np.ndarray:
+        """SNMs of ``rows`` (default: every row) at one supply.
+
+        Without ``lobes``, the ``(len(rows), 2)`` exact (SNM_DS1, SNM_DS0).
+        With ``lobes``, the sign mode: ``snm_batch(np.full(len(rows),
+        vdd_cell), rows, lobes)``, whose values are exact only in sign.  The
+        DRV search reads its two endpoints this way.
+        """
+        rows = range(len(self.rows)) if rows is None else rows
+        return self._separations(np.full(len(rows), float(vdd_cell)), rows, lobes, "snm")
 
     def snm_batch(self, vdds, rows: Sequence[int], lobes=None) -> np.ndarray:
         """SNMs of row ``rows[i]`` at supply ``vdds[i]``.
@@ -194,9 +238,10 @@ class SnmSession:
         one cell bisecting at different supplies).  Without ``lobes``,
         returns the ``(k, 2)`` exact (SNM_DS1, SNM_DS0).  With ``lobes``
         (``lobes[i]`` 0 -> SNM_DS1, 1 -> SNM_DS0), returns a ``(k,)`` array
-        whose signs are exact but whose values are exact only where the
-        coarse pass could not settle the sign: the DRV search reads nothing
-        else.  Counts ``snm.certified`` and ``snm.refined`` per lane then.
+        whose signs are exact but whose values are exact only where no rung
+        of the certification ladder could settle the sign: the DRV search
+        reads nothing else.  Counts ``snm.certified`` and ``snm.refined``
+        per lane then.
 
         Raises ``ValueError`` unless ``vdds`` (and ``lobes``) hold one entry
         per row and every lobe is 0 or 1.
@@ -204,15 +249,7 @@ class SnmSession:
         vdds = np.atleast_1d(np.asarray(vdds, dtype=float))
         if vdds.shape != (len(rows),):
             raise ValueError(f"snm_batch: {vdds.size} supplies for {len(rows)} rows")
-        if lobes is not None:
-            lobes = np.asarray(lobes)
-            if lobes.shape != (len(rows),):
-                raise ValueError(f"snm_batch: {lobes.size} lobes for {len(rows)} rows")
-            if not ((lobes == 0) | (lobes == 1)).all():
-                raise ValueError("snm_batch: every lobe must be 0 (DS1) or 1 (DS0)")
-            lobes = lobes.astype(int)
-        obs.count("snm.evaluations", vdds.size)
-        return self._separations(vdds, rows, lobes)
+        return self._separations(vdds, rows, lobes, "snm_batch")
 
 
 def butterfly_curves(

@@ -118,33 +118,37 @@ class HalfCellKernel:
         not recomputed: every operation is elementwise, so each kept point's
         residual keeps its bits.
         """
-        shape = self.a.shape[1:]
+        take = _point_taker(index, self.a.shape[1:])
         devices = self.devices._with_params(
-            self.devices, lambda attr: _take_points(getattr(self.devices, attr), index, shape)
+            self.devices, lambda attr: take(getattr(self.devices, attr))
         )
         kept = HalfCellKernel.__new__(HalfCellKernel)
-        kept._init(
-            devices,
-            _take_points(self.a, index, shape),
-            _take_points(self.f_f, index, shape),
-            _take_points(self.vdd[None], index, shape)[0],
-        )
+        kept._init(devices, take(self.a), take(self.f_f), take(self.vdd[None])[0])
         return kept
 
 
-def _take_points(values: np.ndarray, index: np.ndarray, shape) -> np.ndarray:
-    """``values``, broadcast to ``values.shape[:1] + shape``, at the flat point indices ``index``.
+def _point_taker(index: np.ndarray, shape) -> Callable[[np.ndarray], np.ndarray]:
+    """A function of ``values``: them, broadcast to ``values.shape[:1] + shape``, at ``index``.
+
+    ``index`` holds flat (C order) point indices into ``shape``.
 
     An axis of length 1 in ``values`` (a per-row parameter column, a
     scalar supply) is broadcast, so its coordinate is 0 for every point.
+    The flat index into each such shape is formed once per taker: the
+    device parameters of a kernel share their shape.
     """
-    own = values.shape[1:]
-    if own != shape:
-        coords = np.unravel_index(index, shape)
-        index = np.ravel_multi_index(
-            [c if n > 1 else np.zeros_like(c) for c, n in zip(coords, own)], own
-        )
-    return np.take(values.reshape(len(values), -1), index, axis=1)
+    flat = {tuple(shape): index}
+
+    def take(values: np.ndarray) -> np.ndarray:
+        own = values.shape[1:]
+        if own not in flat:
+            coords = np.unravel_index(index, shape)
+            flat[own] = np.ravel_multi_index(
+                [c if n > 1 else np.zeros_like(c) for c, n in zip(coords, own)], own
+            )
+        return np.take(values.reshape(len(values), -1), flat[own], axis=1)
+
+    return take
 
 
 def bisect_output(

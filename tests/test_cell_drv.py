@@ -24,7 +24,7 @@ from repro.cell.drv import (
 )
 from repro.cell.snm import (
     _BLOCK_ROWS,
-    _COARSE_STEPS,
+    _CERTIFY_DEPTHS,
     _curve_a,
     _curve_b,
     _diagonal_curves,
@@ -259,30 +259,64 @@ def sign_reference():
     return np.array([_reference_drv(v, c, t, w) for v, c, t, w, _ in SIGN_LANES])
 
 
-class TestSignCertifiedSteps:
-    """Sign-mode ``snm_batch``: coarse VTCs settle most signs, the rest resume."""
+def _endpoint_lanes(lanes):
+    """Sign evaluations the endpoints make: the floor for every search, the
+    ceiling for each search still open there; and how many of those read a
+    missing lobe (exact SNM ``-1.0``), which no rung can certify."""
+    searches = sorted({lane[:4] for lane in lanes}, key=repr)
+    cells = sorted({search[:3] for search in searches}, key=repr)
+    rows = [cells.index(search[:3]) for search in searches]
+    lobes = [search[3] for search in searches]
+    session = SnmSession(cells)
+    floor = session.snm(DRV_SEARCH_LO)[rows, lobes]
+    ceiling = session.snm(DRV_SEARCH_HI)[rows, lobes][floor <= 0.0]
+    read = np.concatenate([floor, ceiling])
+    return len(read), int((read == -1.0).sum())
 
-    @pytest.mark.parametrize("coarse_steps", [1, 8, 22, 44])
-    def test_drv_bits_at_any_coarse_depth(self, monkeypatch, sign_reference, coarse_steps):
-        monkeypatch.setattr(snm_module, "_COARSE_STEPS", coarse_steps)
+
+def _sign_evaluations(lanes):
+    """Every sign-mode lane evaluation one ``drv_lanes`` call makes."""
+    bisected = len({lane[:4] for lane in lanes if lane[-1] == "bisect"})
+    return 16 * bisected + _endpoint_lanes(lanes)[0]
+
+
+#: Ladders run with ``_CERTIFY_DEPTHS`` patched: single rungs from 1 to 44
+#: steps, the shipped ladder, and a ladder over all of those rungs.
+LADDERS = [
+    pytest.param((1,), id="1"),
+    pytest.param((8,), id="8"),
+    pytest.param((22,), id="22"),
+    pytest.param((44,), id="44"),
+    pytest.param(_CERTIFY_DEPTHS, id="shipped"),
+    pytest.param((1, 8, 22, 44), id="1-8-22-44"),
+]
+
+
+class TestSignCertifiedSteps:
+    """Sign-mode SNMs: a ladder of coarse VTC depths settles most signs, the rest go on."""
+
+    @pytest.mark.parametrize("depths", LADDERS)
+    def test_drv_bits_at_any_coarse_depth(self, monkeypatch, sign_reference, depths):
+        monkeypatch.setattr(snm_module, "_CERTIFY_DEPTHS", depths)
         rows, lobes = _lane_rows(SIGN_LANES)
         with obs.recording() as rec:
             values = drv_lanes(rows, lobes)
         assert np.array_equal(values, sign_reference)
         certified = rec.counters["snm.certified"]
         refined = rec.counters["snm.refined"]
-        if coarse_steps == 1:  # a half-supply bracket certifies nothing
+        assert certified + refined == _sign_evaluations(SIGN_LANES)
+        if depths == (1,):  # a half-supply bracket certifies nothing
             assert certified == 0 and refined > 0
-        if coarse_steps == 44:  # nothing left to resume
-            assert refined == 0 and certified > 0
+        if depths[-1] == 44:  # nothing left to resume but missing endpoint lobes
+            assert refined == _endpoint_lanes(SIGN_LANES)[1] and certified > 0
 
     def test_every_sign_evaluation_is_certified_or_refined(self, mixed_call):
         _, rec = mixed_call
-        paths = [path for *_, path in MIXED_LANES]
-        # The bisected lanes are all distinct searches: 16 sign steps each.
-        sign_evaluations = 16 * paths.count("bisect")
+        # 16 sign steps per bisected search, plus the endpoint lanes.
+        sign_evaluations = _sign_evaluations(MIXED_LANES)
+        assert sign_evaluations > 16 * len(MIXED_LANES) // 2
         assert rec.counters["snm.certified"] + rec.counters["snm.refined"] == sign_evaluations
-        assert rec.counters["snm.refined"] > 0  # the resume path ran
+        assert rec.counters["snm.refined"] > 0  # the last rung ran
 
     def test_signs_match_exact_next_to_each_drv(self, mixed_call):
         values, _ = mixed_call
@@ -299,8 +333,9 @@ class TestSignCertifiedSteps:
         exact = session.snm_batch(vdds, rows)[np.arange(len(rows)), lobes]
         assert np.array_equal(signed > 0.0, exact > 0.0)
 
-    def test_coarse_snm_within_one_bracket_width(self, monkeypatch):
-        """The certificate's premise: coarse and exact SNMs differ by <= w."""
+    @pytest.mark.parametrize("depth", _CERTIFY_DEPTHS)
+    def test_coarse_snm_within_one_bracket_width(self, monkeypatch, depth):
+        """The certificate's premise at every shipped rung: coarse and exact SNMs differ by <= w."""
         rng = np.random.default_rng(19)
         n = 50
         cells = [
@@ -312,21 +347,37 @@ class TestSignCertifiedSteps:
         lobes = rng.integers(0, 2, n)
         session = SnmSession(cells)
         exact = session.snm_batch(vdds, range(n))[np.arange(n), lobes]
-        # With no margin every lane whose coarse lobe is open is certified,
-        # so the call returns the coarse SNMs.
+        # With no margin and one rung, every lane whose coarse lobe is open
+        # is certified there, so the call returns the rung's SNMs.
         monkeypatch.setattr(snm_module, "_CERTIFY_MARGIN", 0)
-        coarse = session.snm_batch(vdds, range(n), lobes)
+        monkeypatch.setattr(snm_module, "_CERTIFY_DEPTHS", (depth,))
+        with obs.recording() as rec:
+            coarse = session.snm_batch(vdds, range(n), lobes)
         present = exact != -1.0  # a missing lobe has no SNM to bound
-        width = vdds * 2.0 ** -_COARSE_STEPS
+        width = vdds * 2.0 ** -depth
         assert present.sum() > n // 2
+        assert rec.counters["snm.certified"] >= present.sum() - 2
         assert np.all(np.abs(coarse - exact)[present] <= width[present])
 
     @pytest.mark.parametrize(
-        "coarse_steps, cut_steps", [(22, 1), (22, 3), (22, 6), (22, 22), (8, 2), (8, 30), (1, 4)]
+        "depths, cut_steps",
+        [
+            pytest.param((22,), 1, id="22-1"),
+            pytest.param((22,), 3, id="22-3"),
+            pytest.param((22,), 6, id="22-6"),
+            pytest.param((22,), 22, id="22-22"),
+            pytest.param((8,), 2, id="8-2"),
+            pytest.param((8,), 30, id="8-30"),
+            pytest.param((1,), 4, id="1-4"),
+            pytest.param(_CERTIFY_DEPTHS, 1, id="shipped-1"),
+            pytest.param(_CERTIFY_DEPTHS, 8, id="shipped-8"),
+            pytest.param(_CERTIFY_DEPTHS, 30, id="shipped-30"),
+            pytest.param((4, 6, 30), 5, id="4-6-30-5"),
+        ],
     )
-    def test_drv_bits_at_any_cut_depth(self, monkeypatch, sign_reference, coarse_steps, cut_steps):
-        """Pre-passes shallower than, equal to and deeper than the coarse pass."""
-        monkeypatch.setattr(snm_module, "_COARSE_STEPS", coarse_steps)
+    def test_drv_bits_at_any_cut_depth(self, monkeypatch, sign_reference, depths, cut_steps):
+        """Pre-passes shallower than, equal to and deeper than the first rung."""
+        monkeypatch.setattr(snm_module, "_CERTIFY_DEPTHS", depths)
         monkeypatch.setattr(snm_module, "_CUT_STEPS", cut_steps)
         rows, lobes = _lane_rows(SIGN_LANES)
         with obs.recording() as rec:
@@ -336,10 +387,75 @@ class TestSignCertifiedSteps:
 
     def test_cut_points_counted_per_sign_evaluation(self, mixed_call):
         _, rec = mixed_call
-        paths = [path for *_, path in MIXED_LANES]
-        total = 16 * paths.count("bisect") * 2 * 256  # both VTC rows of every lane
+        total = _sign_evaluations(MIXED_LANES) * 2 * 256  # both VTC rows of every lane
         assert rec.counters["snm.points.total"] == total
         assert 0 < rec.counters["snm.points.kept"] < total // 2
+
+
+class TestSignModeEndpoints:
+    """``snm(vdd, rows, lobes)``: the DRV search's endpoints in the sign mode."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        """A random cell and a strongly DS1-skewed one per corner and temperature.
+
+        The skewed cells hold '0' at the floor and lose '1' at the ceiling,
+        so both endpoints see open and closed lobes.
+        """
+        rng = np.random.default_rng(23)
+        return [
+            (variation, corner, temp_c)
+            for corner in sorted(CORNERS)
+            for temp_c in (-40.0, 25.0, 125.0)
+            for variation in (
+                CellVariation(*rng.normal(0.0, 3.0, len(CELL_TRANSISTORS))),
+                CellVariation.worst_case_drv1(rng.uniform(6.0, 14.0)),
+            )
+        ]
+
+    @pytest.mark.parametrize("vdd", [DRV_SEARCH_LO, DRV_SEARCH_HI])
+    def test_signs_equal_exact_signs(self, cells, vdd):
+        session = SnmSession(cells)
+        exact = session.snm(vdd)
+        rows = np.tile(np.arange(len(cells)), 2)  # both lobes of every cell
+        lobes = np.repeat([0, 1], len(cells))
+        assert len(rows) > _BLOCK_ROWS
+        with obs.recording() as rec:
+            signed = session.snm(vdd, rows, lobes)
+        assert np.array_equal(signed > 0.0, exact[rows, lobes] > 0.0)
+        assert (exact[rows, lobes] > 0.0).any() and (exact[rows, lobes] <= 0.0).any()
+        assert rec.counters["snm.evaluations"] == len(rows)
+        assert rec.counters["snm.certified"] + rec.counters["snm.refined"] == len(rows)
+
+    def test_is_snm_batch_at_one_supply(self, cells):
+        session = SnmSession(cells)
+        rows = [3, 0, 3, 7]
+        lobes = [1, 0, 0, 1]
+        full = np.full(len(rows), 0.3)
+        signed = session.snm_batch(full, rows, lobes)
+        assert session.snm(0.3, rows, lobes).tobytes() == signed.tobytes()
+        assert session.snm(0.3, rows).tobytes() == session.snm_batch(full, rows).tobytes()
+        assert session.snm(0.3).tobytes() == session.snm(0.3, range(len(cells))).tobytes()
+
+    def test_reused_session_equals_fresh_sessions(self, cells):
+        """Role stacks are memoised per row tuple; no block reads another's."""
+        reused = SnmSession(cells)
+        calls = [
+            ([0, 1, 2], [0, 1, 0], 0.4),
+            ([2, 1], [1, 1], 0.2),
+            ([0, 1, 2], [1, 0, 1], 0.7),
+            (list(range(len(cells))) * 2, [0] * len(cells) + [1] * len(cells), 0.5),
+            ([5], [0], 0.05),
+            ([1, 2], None, 0.3),
+            ([2, 1], None, 0.3),
+        ]
+        for rows, lobes, vdd in calls:
+            vdds = np.full(len(rows), vdd) + 0.01 * np.arange(len(rows))
+            got = reused.snm_batch(vdds, rows, lobes)
+            fresh = SnmSession(cells).snm_batch(vdds, rows, lobes)
+            assert got.tobytes() == fresh.tobytes()
+        assert reused._stacked((0, 1, 2)) is reused._stacked(np.array([0, 1, 2]))
+        assert reused._stacked((0, 1, 2)) is not reused._stacked((2, 1))
 
 
 # ------------------------------------------------------------ lobe cut
@@ -430,6 +546,16 @@ class TestBatchInputs:
         for bad in ([0, 2], [-1, 0], [0.5, 1]):
             with pytest.raises(ValueError, match="lobe"):
                 session.snm_batch([0.3, 0.4], [0, 1], bad)
+            with pytest.raises(ValueError, match="snm: every lobe"):
+                session.snm(0.3, [0, 1], bad)
+        with pytest.raises(ValueError, match="snm: 1 lobes for 2 rows"):
+            session.snm(0.3, None, [0])
+
+    @pytest.mark.parametrize("which", [-1, 2, 0.5, [0, 2], [1.0, 0.0], [True, False]])
+    def test_drv_lanes_lobe_must_be_integer_0_or_1(self, which):
+        with obs.recording() as rec, pytest.raises(ValueError, match="lobe"):
+            drv_lanes(self.ROWS, which)
+        assert "snm.evaluations" not in rec.counters
 
 
 class TestNonFiniteInputs:
@@ -456,3 +582,8 @@ class TestGoldenBits:
     def test_tiny_payload_equals_golden(self, artifact):
         golden = load_golden(default_goldens_dir(), "tiny", artifact)
         assert build_payload(artifact, scope_for("tiny")) == golden["payload"]
+
+    @pytest.mark.parametrize("artifact", ["table1", "fig4"])
+    def test_fast_payload_equals_golden(self, artifact):
+        golden = load_golden(default_goldens_dir(), "fast", artifact)
+        assert build_payload(artifact, scope_for("fast")) == golden["payload"]

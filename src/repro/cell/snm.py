@@ -53,8 +53,8 @@ _BLOCK_ROWS = 32
 #: undecided lanes' VTC brackets are ``vdd * 2^-depth`` wide, and every lane
 #: whose SNM sign the bracket settles drops out; the rest go on to the next
 #: rung and at last to the full :data:`~repro.cell.vtc._BISECTION_STEPS`.
-#: Over tiny Table I + Fig. 4 the rungs settle 72, 96 and 116 of 310 sign
-#: evaluations, and 26 go on to the full depth (DESIGN §28).
+#: Over tiny Table I + Fig. 4 the rungs settle 72, 96 and 118 of 310 sign
+#: evaluations, and 24 go on to the full depth (DESIGN §28, §29).
 _CERTIFY_DEPTHS = (8, 14, 22)
 
 #: Steps of the sign mode's pre-pass over every grid point, after which each
@@ -69,8 +69,9 @@ _CUT_STEPS = 3
 _LOBE_EPS = 1e-6
 
 #: A coarse SNM sign is certified when both |SNM| and the lobe's c-width
-#: exceed this many bracket widths of its rung.  The coarse SNM lies within
-#: ~1.5 widths of the exact one (DESIGN §24).
+#: exceed this many bracket widths of its rung, or when the c-width is below
+#: minus this many (the lobe is missing).  The coarse SNM lies within ~1.5
+#: widths of the exact one, the c-width within one (DESIGN §24).
 _CERTIFY_MARGIN = 16
 
 #: (pull-up, pull-down, pass gate) of the inverter driving S, then SB.
@@ -182,8 +183,12 @@ class SnmSession:
             ]).T
             if not certify:
                 break
+            # A lobe wider than the margin has the sign of its SNM; one whose
+            # c-width is below -margin is missing at the exact depth too, so
+            # its coarse -1.0 is the exact SNM.
             margin = _CERTIFY_MARGIN * vdd[lanes] * 2.0 ** -depth
-            undecided = np.flatnonzero(~((np.abs(out[lanes]) > margin) & (widths > margin)))
+            settled = ((np.abs(out[lanes]) > margin) & (widths > margin)) | (widths < -margin)
+            undecided = np.flatnonzero(~settled)
             if len(undecided) == n:
                 continue
             lanes = lanes[undecided]
@@ -239,9 +244,9 @@ class SnmSession:
         returns the ``(k, 2)`` exact (SNM_DS1, SNM_DS0).  With ``lobes``
         (``lobes[i]`` 0 -> SNM_DS1, 1 -> SNM_DS0), returns a ``(k,)`` array
         whose signs are exact but whose values are exact only where no rung
-        of the certification ladder could settle the sign: the DRV search
-        reads nothing else.  Counts ``snm.certified`` and ``snm.refined``
-        per lane then.
+        of the certification ladder could settle the sign, or where the
+        lobe is missing (``-1.0``): the DRV search reads nothing else.
+        Counts ``snm.certified`` and ``snm.refined`` per lane then.
 
         Raises ``ValueError`` unless ``vdds`` (and ``lobes``) hold one entry
         per row and every lobe is 0 or 1.

@@ -29,6 +29,7 @@ from .library import (
 )
 from .parser import MarchParseError, parse_library_or_custom, parse_march
 from .runner import (
+    CellTable,
     FailureTable,
     MarchFailure,
     MarchResult,
@@ -60,6 +61,7 @@ __all__ = [
     "MarchResult",
     "MarchFailure",
     "FailureTable",
+    "CellTable",
     "evaluate_coverage",
     "CoverageReport",
 ]

@@ -4,7 +4,8 @@ The runner drives the memory's functional interface only (reads, writes,
 DSM/WUP mode switches) - exactly what external test equipment sees.  Reads
 compare the observed word against the expected all-0s/all-1s background;
 every mismatching bit is recorded as one row of a :class:`FailureTable`,
-read back as :class:`MarchFailure` objects.
+read back as :class:`MarchFailure` objects; the distinct failing cells come
+back as a columnar :class:`CellTable`.
 
 ``vddcc_for_sleep`` lets a caller bind the sleeps to an electrical scenario
 (e.g. the VDD_CC of a regulator with an injected defect); by default the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -106,7 +108,7 @@ class FailureTable(Sequence[MarchFailure]):
     def __repr__(self) -> str:
         return f"FailureTable({len(self)} failures)"
 
-    def cells(self) -> List[Tuple[int, int]]:
+    def cells(self) -> CellTable:
         """Sorted distinct (addr, bit) pairs.
 
         Deduplicates packed ``addr << 32 | bit`` keys with a sort and an
@@ -117,7 +119,61 @@ class FailureTable(Sequence[MarchFailure]):
         keys = np.sort((addr.astype(np.int64) << 32) | bit.astype(np.int64))
         if len(keys):
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        return list(zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist()))
+        return CellTable(keys >> 32, keys & 0xFFFFFFFF)
+
+
+class CellTable(Sequence[Tuple[int, int]]):
+    """Read-only, columnar list of sorted distinct ``(addr, bit)`` pairs.
+
+    :attr:`addr` and :attr:`bit` are read-only int64 columns, which an
+    array caller indexes with directly; no tuple is built unless a row is
+    read.  ``len``, indexing, negative indexing, slicing (a table over
+    views), iteration, ``in`` and ``==`` against a list behave as on the
+    equivalent ``sorted`` list of tuples.
+    """
+
+    __slots__ = ("addr", "bit")
+
+    def __init__(self, addr: np.ndarray, bit: np.ndarray) -> None:
+        self.addr = np.asarray(addr, np.int64)
+        self.bit = np.asarray(bit, np.int64)
+        self.addr.flags.writeable = False
+        self.bit.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return CellTable(self.addr[index], self.bit[index])
+        return int(self.addr[index]), int(self.bit[index])
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(self.addr.tolist(), self.bit.tolist())
+
+    def __contains__(self, item) -> bool:
+        """Binary search on the sorted ``addr`` column, then the word's bits."""
+        if not (isinstance(item, tuple) and len(item) == 2
+                and all(isinstance(x, Real) for x in item)):
+            return False
+        addr, bit = item
+        lo = np.searchsorted(self.addr, addr, side="left")
+        hi = np.searchsorted(self.addr, addr, side="right")
+        return bool((self.bit[lo:hi] == bit).any())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CellTable):
+            return np.array_equal(self.addr, other.addr) and np.array_equal(
+                self.bit, other.bit
+            )
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CellTable({len(self)} cells)"
 
 
 @dataclass
@@ -137,7 +193,8 @@ class MarchResult:
         """True when the test flagged at least one fault."""
         return bool(self.failures)
 
-    def failing_cells(self) -> List[Tuple[int, int]]:
+    def failing_cells(self) -> CellTable:
+        """Sorted distinct failing ``(addr, bit)`` cells (:meth:`FailureTable.cells`)."""
         return self.failures.cells()
 
     def __str__(self) -> str:

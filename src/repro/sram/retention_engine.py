@@ -93,7 +93,8 @@ class ArrayRetentionEngine(RetentionEngine):
     produces for a macro's variation map (:meth:`from_codes`).  The plane
     constructor is the one-code-per-cell case.  :meth:`flip_times` and
     :meth:`flip_mask` evaluate the paper's flip-time criterion on the
-    table and gather the result by (stored bit, code).
+    table and gather the result by (stored bit, code);
+    :meth:`bucket_flips` is that table before the gather.
 
     Bit-for-bit equivalence with the scalar engine is a hard contract (the
     scalar path is the differential oracle): every table entry uses the
@@ -219,11 +220,20 @@ class ArrayRetentionEngine(RetentionEngine):
         """Per-cell flip time (s) at supply ``vddcc`` for the stored plane."""
         return self._gather(self._table_times(vddcc), stored_bits)
 
+    def bucket_flips(self, vddcc: float, duration: float) -> np.ndarray:
+        """``(2, B)`` table: does a cell storing bit ``s`` in bucket ``b`` flip?
+
+        Row ``s`` is the stored bit, as in :attr:`drv_table`; an entry is
+        True when the flip time at ``vddcc`` is within ``duration``.  A
+        count over cells needs only this table and the bucket populations.
+        """
+        return float(duration) >= self._table_times(vddcc)
+
     def flip_mask(
         self, vddcc: float, ds_time: float, stored_bits: np.ndarray
     ) -> np.ndarray:
         """Boolean plane of cells that lose their data during this sleep."""
-        return self._gather(float(ds_time) >= self._table_times(vddcc), stored_bits)
+        return self._gather(self.bucket_flips(vddcc, ds_time), stored_bits)
 
     def flips(self, vddcc, ds_time, stored_bit_of) -> List[Tuple[int, int]]:
         """Scalar-protocol compatibility: evaluate via the mask."""

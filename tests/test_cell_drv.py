@@ -261,17 +261,22 @@ def sign_reference():
 
 def _endpoint_lanes(lanes):
     """Sign evaluations the endpoints make: the floor for every search, the
-    ceiling for each search still open there; and how many of those read a
-    missing lobe (exact SNM ``-1.0``), which no rung can certify."""
+    ceiling for each search still open there; and the ``(cell, lobe,
+    supply)`` of those that read a missing lobe (exact SNM ``-1.0``), which
+    a rung certifies once the coarse c-width is below minus its margin."""
     searches = sorted({lane[:4] for lane in lanes}, key=repr)
     cells = sorted({search[:3] for search in searches}, key=repr)
     rows = [cells.index(search[:3]) for search in searches]
     lobes = [search[3] for search in searches]
     session = SnmSession(cells)
     floor = session.snm(DRV_SEARCH_LO)[rows, lobes]
-    ceiling = session.snm(DRV_SEARCH_HI)[rows, lobes][floor <= 0.0]
-    read = np.concatenate([floor, ceiling])
-    return len(read), int((read == -1.0).sum())
+    ceiling = session.snm(DRV_SEARCH_HI)[rows, lobes]
+    missing = [(search[:3], search[3], DRV_SEARCH_LO)
+               for search, snm in zip(searches, floor) if snm == -1.0]
+    missing += [(search[:3], search[3], DRV_SEARCH_HI)
+                for search, lo, hi in zip(searches, floor, ceiling)
+                if lo <= 0.0 and hi == -1.0]
+    return len(floor) + int((floor <= 0.0).sum()), missing
 
 
 def _sign_evaluations(lanes):
@@ -307,8 +312,41 @@ class TestSignCertifiedSteps:
         assert certified + refined == _sign_evaluations(SIGN_LANES)
         if depths == (1,):  # a half-supply bracket certifies nothing
             assert certified == 0 and refined > 0
-        if depths[-1] == 44:  # nothing left to resume but missing endpoint lobes
-            assert refined == _endpoint_lanes(SIGN_LANES)[1] and certified > 0
+        if depths[-1] == 44:  # nothing left to resume
+            assert refined == 0 and certified > 0
+
+    def test_missing_lobe_is_certified_at_first_clearing_rung(self, monkeypatch):
+        """An endpoint lane whose exact lobe is missing stops at the first rung
+        whose coarse c-width is below minus the margin, with the exact -1.0."""
+        _, missing = _endpoint_lanes(MIXED_LANES)
+        assert len(missing) >= 5
+        lanes = [lane for lane in MIXED_LANES if (lane[:3], lane[3]) in
+                 {(cell, lobe) for cell, lobe, _ in missing}]
+        rows, lobes = _lane_rows(lanes)
+        expected = [_reference_drv(v, c, t, w) for v, c, t, w, _ in lanes]
+        assert np.array_equal(drv_lanes(rows, lobes), expected)
+
+        widths = []
+
+        def recording_lobe(curves, lobe):
+            snm, width = _lobe(curves, lobe)
+            widths.append(width)
+            return snm, width
+
+        monkeypatch.setattr(snm_module, "_lobe", recording_lobe)
+        rungs_used = set()
+        for cell, lobe, vdd in missing:
+            widths.clear()
+            with obs.recording() as rec:
+                value = SnmSession([cell]).snm(vdd, [0], [lobe])
+            clears = [width < -snm_module._CERTIFY_MARGIN * vdd * 2.0 ** -depth
+                      for depth, width in zip(_CERTIFY_DEPTHS, widths)]
+            # One lobe evaluation per rung climbed; only the last one clears.
+            assert clears == [False] * (len(widths) - 1) + [True]
+            rungs_used.add(len(widths))
+            assert (rec.counters["snm.certified"], rec.counters["snm.refined"]) == (1, 0)
+            assert value[0] == -1.0 == _scalar_snm(*cell, vdd)[lobe]
+        assert max(rungs_used) > 1  # some lane needs more than the first rung
 
     def test_every_sign_evaluation_is_certified_or_refined(self, mixed_call):
         _, rec = mixed_call

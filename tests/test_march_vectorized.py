@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.march import (
+    CellTable,
     march_c_minus,
     march_lz,
     march_m_lz,
@@ -271,6 +272,39 @@ class TestPropertyEquivalence:
 # The columnar failure table behind ``MarchResult.failures``.
 # --------------------------------------------------------------------------
 
+def _assert_cells_are_list(cells, expected, data):
+    """``cells`` (a :class:`CellTable`) behaves as the list ``expected``."""
+    n = len(expected)
+    assert isinstance(cells, CellTable)
+    assert cells == expected and expected == cells
+    assert not (cells != expected) and not (expected != cells)
+    assert list(cells) == expected and len(cells) == n and bool(cells) == bool(n)
+    assert list(zip(cells.addr.tolist(), cells.bit.tolist())) == expected
+    assert not cells.addr.flags.writeable and not cells.bit.flags.writeable
+    assert [cells[i] for i in range(n)] == expected
+    assert [cells[-i] for i in range(1, n + 1)] == [expected[-i] for i in range(1, n + 1)]
+    assert all(type(x) is int for cell in cells for x in cell)
+    start = data.draw(st.integers(-n - 2, n + 2))
+    stop = data.draw(st.none() | st.integers(-n - 2, n + 2))
+    step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+    assert cells[start:stop:step] == expected[start:stop:step]
+    assert list(cells[start:stop:step]) == expected[start:stop:step]
+    with pytest.raises(IndexError):
+        cells[n]
+    with pytest.raises(IndexError):
+        cells[-n - 1]
+    present = set(expected)
+    for cell in expected:
+        assert cell in cells
+    for probe in data.draw(st.lists(st.tuples(st.integers(-1, 40), st.integers(-1, 9)),
+                                    max_size=8)):
+        assert (probe in cells) == (probe in present)
+    for other in ([(0, 0)], expected + [(10**6, 0)], expected[1:]):
+        if other != expected:
+            assert cells != other and other != cells
+    assert [1, 2] not in cells and "x" not in cells and (1, 2, 3) not in cells
+
+
 class TestFailureTable:
     @settings(max_examples=40, deadline=None)
     @given(plan=_fault_plan(), max_failures=st.integers(1, 60), data=st.data())
@@ -300,6 +334,30 @@ class TestFailureTable:
                 table[len(rows)]
             with pytest.raises(IndexError):
                 table[-len(rows) - 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=_fault_plan(), max_failures=st.integers(1, 60), data=st.data())
+    def test_cells_behave_as_their_sorted_list(self, plan, max_failures, data):
+        for runner in (run_march, run_march_vectorized):
+            result = runner(
+                march_c_minus(), _build_plan_sram(plan),
+                vddcc_for_sleep=lambda i: plan["vddcc"],
+                max_failures=max_failures, background=plan["background"],
+            )
+            _assert_cells_are_list(
+                result.failing_cells(),
+                sorted({(r.addr, r.bit) for r in result.failures}),
+                data,
+            )
+
+    def test_empty_cells(self):
+        cells = run_march_vectorized(march_m_lz(), LowPowerSRAM(CONFIG)).failing_cells()
+        assert isinstance(cells, CellTable)
+        assert len(cells) == 0 and not cells and list(cells) == [] == cells
+        assert cells[:3] == [] and (0, 0) not in cells
+        assert cells.addr.dtype == cells.bit.dtype == np.int64
+        with pytest.raises(IndexError):
+            cells[0]
 
     def test_empty_table(self):
         result = run_march_vectorized(march_m_lz(), LowPowerSRAM(CONFIG))

@@ -36,6 +36,7 @@ from repro.cell.drv import (
 )
 from repro.cell.retention import flip_time
 from repro.devices.variation import CELL_TRANSISTORS, CellVariation
+from repro.march import march_m_lz, run_march_vectorized
 from repro.sram import (
     ArrayRetentionEngine,
     LowPowerSRAM,
@@ -493,3 +494,62 @@ class TestEscapeSummary:
         spec = MacroSpec(words=16, bits=4, banks=1, seed=3)
         with pytest.raises(ValueError):
             bank_escape_summary(spec, 0, vddcc=0.0, buckets=2)
+
+    @pytest.mark.parametrize("corner,temp_c", [("typical", -40.0), ("fs", 125.0)])
+    @pytest.mark.parametrize("buckets", [1, 6, "n_cells"])
+    @pytest.mark.parametrize("spec", [
+        MacroSpec(words=16, bits=4, banks=2, seed=3),
+        MacroSpec(words=12, bits=4, banks=3, seed=7),
+    ], ids=["16x4/2", "12x4/3"])
+    def test_counts_equal_plane_census(self, spec, buckets, corner, temp_c):
+        """The census counts from bucket flip tables, bucket populations and
+        the failing-cell columns; every count must equal the census over
+        whole-bank planes: ``flip_mask`` on all-ones and all-zeros planes,
+        and ``detected`` from a Python set of the March's failure rows."""
+        ds_time, mission_time = 1e-3, 1.0
+        if buckets == "n_cells":
+            buckets = spec.words_per_bank * spec.bits
+        compared = raised = 0
+        for bank in range(spec.banks):
+            engine = macro_retention(spec, bank, corner, temp_c, buckets=buckets)
+            ones = np.ones(engine.shape, dtype=np.uint8)
+            zeros = np.zeros(engine.shape, dtype=np.uint8)
+            for vddcc in (0.05, 0.08, 0.105, 0.2):
+                if engine.bulk_data_loss(vddcc, ds_time):
+                    with pytest.raises(ValueError):
+                        bank_escape_summary(
+                            spec, bank, vddcc, ds_time, mission_time,
+                            corner, temp_c, buckets=buckets,
+                        )
+                    raised += 1
+                    continue
+                summary = bank_escape_summary(
+                    spec, bank, vddcc, ds_time, mission_time,
+                    corner, temp_c, buckets=buckets,
+                )
+                sram = LowPowerSRAM(
+                    SRAMConfig(n_words=spec.words_per_bank, word_bits=spec.bits),
+                    retention=engine,
+                )
+                result = run_march_vectorized(
+                    march_m_lz(ds_time=ds_time), sram,
+                    vddcc_for_sleep=lambda _i: vddcc,
+                    max_failures=spec.words_per_bank * spec.bits,
+                )
+                detected = np.zeros(engine.shape, dtype=bool)
+                for addr, bit in {(row.addr, row.bit) for row in result.failures}:
+                    detected[addr, bit] = True
+                test_flip = (engine.flip_mask(vddcc, ds_time, ones)
+                             | engine.flip_mask(vddcc, ds_time, zeros))
+                mission_flip = (engine.flip_mask(vddcc, mission_time, ones)
+                                | engine.flip_mask(vddcc, mission_time, zeros))
+                plane = {
+                    "detected": int(detected.sum()),
+                    "escaped": int((mission_flip & ~detected).sum()),
+                    "test_flips": int(test_flip.sum()),
+                    "mission_flips": int(mission_flip.sum()),
+                }
+                assert {key: summary[key] for key in plane} == plane, (bank, vddcc)
+                compared += 1
+        # Both a census and, at the hot corner, the bulk-loss guard ran.
+        assert compared > 0 and (raised > 0) == (corner == "fs")

@@ -189,24 +189,28 @@ def clear_pair_memo() -> None:
     _PAIR_MEMO.clear()
 
 
-#: Projection of a sigma vector onto the DRV_DS1-maximising direction of
-#: Fig. 4 (the sign pattern of ``CellVariation.worst_case_drv1``), in
-#: :data:`~repro.devices.variation.CELL_TRANSISTORS` order.  Because
-#: ``mirrored()`` negates this projection exactly, a *single* scalar score
-#: orders cells by DRV_DS1 ascending and simultaneously by DRV_DS0
-#: descending - one bucketing serves both lobes.
-_SKEW_WEIGHTS = np.array([-1.0, -1.0, +1.0, +1.0, -1.0, +1.0])
-
-
 def skew_scores(sigmas: np.ndarray) -> np.ndarray:
-    """Per-cell DRV-skew score for an ``(n, 6)`` sigma matrix."""
+    """Per-cell DRV-skew score for an ``(n, 6)`` sigma matrix.
+
+    The score projects a sigma vector onto the DRV_DS1-maximising direction
+    of Fig. 4 (the sign pattern of ``CellVariation.worst_case_drv1``), in
+    :data:`~repro.devices.variation.CELL_TRANSISTORS` order.  Because
+    ``mirrored()`` negates this projection exactly, a *single* scalar score
+    orders cells by DRV_DS1 ascending and simultaneously by DRV_DS0
+    descending - one bucketing serves both lobes.
+
+    The sum is elementwise and added left to right, so a score's bits
+    depend only on its own row: not on the host's BLAS kernel and not on
+    how many rows one call sees (a BLAS matrix-vector product is neither).
+    """
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != len(CELL_TRANSISTORS):
         raise ValueError(
             f"sigmas must be (n, {len(CELL_TRANSISTORS)}) in CELL_TRANSISTORS "
             f"order, got {sigmas.shape}"
         )
-    return sigmas @ _SKEW_WEIGHTS
+    s = sigmas.T
+    return -s[0] - s[1] + s[2] + s[3] - s[4] + s[5]
 
 
 def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -269,7 +273,8 @@ def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarr
 
 
 def drv_ds_pair_map(
-    sigmas: np.ndarray,
+    scores: np.ndarray,
+    rows,
     corner: str = "typical",
     temp_c: float = 25.0,
     cell: CellDesign = DEFAULT_CELL,
@@ -277,12 +282,15 @@ def drv_ds_pair_map(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantile-bucketed per-cell (DRV_DS1, DRV_DS0) map as codes + tables.
 
-    ``sigmas`` is an ``(n, 6)`` matrix of per-cell Vth sigma multipliers in
-    :data:`~repro.devices.variation.CELL_TRANSISTORS` order (a flattened
-    macro variation map).  A full per-cell solve would cost ``n`` bisection
-    pairs (~0.1 s each) - prohibitive for 10^6-cell macros.  Instead the
-    cells are ranked by :func:`skew_scores` (the dominant axis of DRV
-    variation), split into ``buckets`` equal-population quantile runs by
+    ``scores`` are the :func:`skew_scores` of ``n`` cells (the dominant
+    axis of DRV variation) and ``rows`` gives their Vth sigma multipliers:
+    indexed with an index array of cells it returns their ``(k, 6)`` rows in
+    :data:`~repro.devices.variation.CELL_TRANSISTORS` order.  An ``(n, 6)``
+    matrix does; a streamed macro map
+    (:class:`~repro.sram.macro.VariationStream`) redraws just those rows.
+    A full per-cell solve would cost ``n`` bisection pairs (~0.1 s each) -
+    prohibitive for 10^6-cell macros.  Instead the cells are split by score
+    into ``buckets`` equal-population quantile runs by
     :func:`rank_buckets`, and each run inherits the exact
     :func:`drv_ds_pair` of its median-rank representative cell.  A million
     cells therefore cost ``buckets`` pair solves, shared further across
@@ -294,18 +302,18 @@ def drv_ds_pair_map(
     ``n <= buckets`` every cell is its own bucket.  Deterministic: codes
     and representatives are those of a stable argsort of the scores.
 
-    Raises ``ValueError`` for ``buckets < 1`` or a non-finite sigma.
+    Raises ``ValueError`` for ``buckets < 1`` or a non-finite score.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    codes, rep_cells = rank_buckets(skew_scores(sigmas), buckets)
+    codes, rep_cells = rank_buckets(np.asarray(scores, dtype=float), buckets)
     if len(codes):
         obs.count("drv.map.cells", len(codes))
     drv1 = np.empty(len(rep_cells))
     drv0 = np.empty(len(rep_cells))
-    for bucket, rep in enumerate(rep_cells):
+    rep_rows = np.asarray(rows[rep_cells], dtype=float)
+    for bucket, row in enumerate(rep_rows):
         obs.count("drv.map.buckets")
         variation = CellVariation(
-            **{t: float(s) for t, s in zip(CELL_TRANSISTORS, sigmas[rep])}
+            **{t: float(s) for t, s in zip(CELL_TRANSISTORS, row)}
         )
         drv1[bucket], drv0[bucket] = drv_ds_pair_cached(variation, corner, temp_c, cell)
     return codes, drv1, drv0

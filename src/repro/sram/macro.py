@@ -12,12 +12,23 @@ over one bank with the vectorized executor and classifies every cell.
 Determinism contract
 --------------------
 
-``bank_sigmas(bank)`` seeds a fresh ``numpy`` PCG64 generator with the
-entropy sequence ``(MACRO_STREAM, seed, words, bits, banks, bank)`` - the
-same map is regenerated bit-identically in any process, and a campaign
-worker assigned one bank materialises only its own slice.  The macro seed
-feeds the campaign ``SweepSpec`` seed, so it participates in the sweep
-fingerprint and a reseeded macro can never replay another seed's cache.
+Each bank draws its map from one ``numpy`` PCG64 stream seeded with the
+entropy sequence ``(MACRO_STREAM, seed, words, bits, banks, bank)``, the
+same in any process, so a campaign worker assigned one bank materialises
+only its own slice.  :meth:`MacroSpec._chunks` is the only draw: it fills
+one reused buffer ``_CHUNK_WORDS`` words at a time and saves the
+generator state before each chunk.  Consecutive draws from a stream give
+the same normals as one draw of their total size, so
+:meth:`MacroSpec.bank_sigmas`, which copies every chunk into a whole
+``(words, bits, 6)`` array, is bit for bit the single draw of that shape:
+it stays the public map and the oracle of the stream.
+:class:`VariationStream` keeps only one skew score per cell and the saved
+states; a cell's sigma row is redrawn from its chunk's state, equal to the
+whole map's row.  Skew scores are a fixed-order elementwise sum
+(:func:`~repro.cell.drv.skew_scores`), so their bits depend neither on
+the chunking nor on the host's BLAS kernel.  The macro seed feeds the
+campaign ``SweepSpec`` seed, so it participates in the sweep fingerprint
+and a reseeded macro can never replay another seed's cache.
 
 Escape taxonomy (per bank, at the test conditions)
 --------------------------------------------------
@@ -42,13 +53,14 @@ built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.drv import drv_ds_pair_map
+from ..cell.drv import drv_ds_pair_map, skew_scores
 from .memory import LowPowerSRAM, SRAMConfig
 from .retention_engine import ArrayRetentionEngine
 
@@ -58,6 +70,10 @@ MACRO_STREAM = 0x5AA3  # "SRAM array" stream
 
 #: Number of sigma multipliers per cell (the six 6T core-cell transistors).
 _SIGMAS_PER_CELL = 6
+
+#: Words per chunk of a bank's variation stream: the reused draw buffer
+#: holds ``_CHUNK_WORDS * bits * 6`` normals (196 KB at 64 bits).
+_CHUNK_WORDS = 64
 
 
 @dataclass(frozen=True)
@@ -75,8 +91,16 @@ class MacroSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("words", "bits", "banks", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(
+                    f"macro {name} must be an integer, got {value!r}"
+                )
         if self.words < 1 or self.bits < 1 or self.banks < 1:
             raise ValueError(f"macro geometry must be positive, got {self}")
+        if self.seed < 0:
+            raise ValueError(f"macro seed must be non-negative, got {self.seed}")
         if self.words % self.banks:
             raise ValueError(
                 f"words ({self.words}) must divide evenly into "
@@ -93,6 +117,8 @@ class MacroSpec:
 
     def bank_of(self, word: int) -> int:
         """The bank owning a (macro-global) word address."""
+        if not 0 <= word < self.words:
+            raise IndexError(f"word {word} out of range 0..{self.words - 1}")
         return word // self.words_per_bank
 
     def bank_words(self, bank: int) -> range:
@@ -105,6 +131,35 @@ class MacroSpec:
         if not 0 <= bank < self.banks:
             raise IndexError(f"bank {bank} out of range 0..{self.banks - 1}")
 
+    def _chunks(
+        self, bank: int, resume: Optional[Tuple[int, dict]] = None
+    ) -> Iterator[Tuple[int, dict, np.ndarray]]:
+        """Draw one bank's map ``_CHUNK_WORDS`` words at a time.
+
+        Yields ``(word, state, chunk)`` per chunk: the bank-local first
+        word, the generator state saved before the chunk was drawn, and
+        the ``(k, bits, 6)`` chunk of ``k <= _CHUNK_WORDS`` words, a view
+        of one buffer that the next chunk overwrites.
+        ``resume=(word, state)`` starts at a saved chunk instead of word 0.
+        """
+        self._check_bank(bank)
+        rng = np.random.default_rng(
+            [MACRO_STREAM, self.seed, self.words, self.bits, self.banks, bank]
+        )
+        word = 0
+        if resume is not None:
+            word, state = resume
+            rng.bit_generator.state = state
+        buffer = np.empty(
+            (min(_CHUNK_WORDS, self.words_per_bank), self.bits, _SIGMAS_PER_CELL)
+        )
+        while word < self.words_per_bank:
+            state = rng.bit_generator.state
+            chunk = buffer[: self.words_per_bank - word]
+            rng.standard_normal(out=chunk)
+            yield word, state, chunk
+            word += len(chunk)
+
     def bank_sigmas(self, bank: int) -> np.ndarray:
         """Per-cell sigma multipliers of one bank.
 
@@ -112,19 +167,59 @@ class MacroSpec:
         :data:`~repro.devices.variation.CELL_TRANSISTORS` order.
         Deterministic per (spec, bank) across processes.
         """
-        self._check_bank(bank)
-        rng = np.random.default_rng(
-            [MACRO_STREAM, self.seed, self.words, self.bits, self.banks, bank]
-        )
-        return rng.standard_normal(
-            (self.words_per_bank, self.bits, _SIGMAS_PER_CELL)
-        )
+        sigmas = np.empty((self.words_per_bank, self.bits, _SIGMAS_PER_CELL))
+        for word, _, chunk in self._chunks(bank):
+            sigmas[word : word + len(chunk)] = chunk
+        return sigmas
 
     def variation_sigmas(self) -> np.ndarray:
         """The full ``(words, bits, 6)`` macro variation map."""
         return np.concatenate(
             [self.bank_sigmas(bank) for bank in range(self.banks)], axis=0
         )
+
+
+class VariationStream:
+    """A macro's (or one bank's) variation map, kept as skew scores.
+
+    ``scores`` holds the :func:`~repro.cell.drv.skew_scores` of every cell
+    in the order of ``variation_sigmas().reshape(-1, 6)`` (or
+    ``bank_sigmas(bank)``'s): banks, then words, then bits.  The map is
+    drawn once, chunk by chunk, and only the generator state at each chunk
+    start is kept; indexing with an array of cell indices redraws those
+    cells' ``(k, 6)`` sigma rows from their chunks' states, bit for bit
+    the rows of the whole map.
+    """
+
+    def __init__(self, spec: MacroSpec, bank: Optional[int] = None) -> None:
+        banks = range(spec.banks) if bank is None else [bank]
+        self.spec = spec
+        self.scores = np.empty(len(banks) * spec.words_per_bank * spec.bits)
+        starts, self._resume = [], []
+        cell = 0
+        for b in banks:
+            for word, state, chunk in spec._chunks(b):
+                rows = chunk.reshape(-1, _SIGMAS_PER_CELL)
+                starts.append(cell)
+                self._resume.append((b, word, state))
+                self.scores[cell : cell + len(rows)] = skew_scores(rows)
+                cell += len(rows)
+        self._starts = np.array(starts, dtype=np.intp)
+
+    def __getitem__(self, cells) -> np.ndarray:
+        cells = np.asarray(cells, dtype=np.intp)
+        if cells.size and not (0 <= cells.min() and cells.max() < len(self.scores)):
+            raise IndexError(f"cell indices out of range 0..{len(self.scores) - 1}")
+        rows = np.empty((len(cells), _SIGMAS_PER_CELL))
+        chunk_of = np.searchsorted(self._starts, cells, side="right") - 1
+        for index in np.unique(chunk_of).tolist():
+            bank, word, state = self._resume[index]
+            _, _, chunk = next(self.spec._chunks(bank, (word, state)))
+            hit = chunk_of == index
+            rows[hit] = chunk.reshape(-1, _SIGMAS_PER_CELL)[
+                cells[hit] - self._starts[index]
+            ]
+        return rows
 
 
 def macro_retention(
@@ -139,16 +234,17 @@ def macro_retention(
     """Array retention engine for a macro (or one bank of it).
 
     Per-cell DRV pairs come from the quantile-bucketed solver: ``buckets``
-    compiled-backend bisections cover the whole population.
+    compiled-backend bisections cover the whole population.  The map is
+    streamed (:class:`VariationStream`): only the ``(n,)`` skew scores
+    and the representatives' redrawn rows reach the solver.
     """
-    sigmas = (
-        spec.variation_sigmas() if bank is None else spec.bank_sigmas(bank)
-    )
+    stream = VariationStream(spec, bank)
     codes, drv1, drv0 = drv_ds_pair_map(
-        sigmas.reshape(-1, _SIGMAS_PER_CELL), corner, temp_c, cell, buckets
+        stream.scores, stream, corner, temp_c, cell, buckets
     )
+    words = spec.words if bank is None else spec.words_per_bank
     return ArrayRetentionEngine.from_codes(
-        codes.reshape(sigmas.shape[:2]),
+        codes.reshape(words, spec.bits),
         drv1,
         drv0,
         symmetric_drv,

@@ -1,12 +1,15 @@
 """Array-scale macro layer: variation maps, bucketed DRVs, escape maps.
 
-The macro stack has three determinism/equivalence contracts, all pinned
+The macro stack has four determinism/equivalence contracts, all pinned
 here:
 
 * ``MacroSpec`` variation maps regenerate bit-identically from the seed -
   in this process, per bank, and in a fresh interpreter (the campaign
   regenerates maps inside workers, so cross-process identity is what makes
   the cache sound);
+* the streamed map (``VariationStream``: chunked skew scores, rows redrawn
+  from saved generator states) equals the whole map, score for score and
+  row for row, and its scores do not depend on the host's BLAS kernel;
 * the quantile-bucketed DRV map degenerates to exact per-cell solves when
   the population is no larger than the bucket count, and its rank
   selection equals a stable-argsort split index for index;
@@ -20,12 +23,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cell.drv as drv_module
+import repro.sram.macro as macro_module
 from repro.cell.drv import (
     clear_pair_memo,
     drv_ds_pair,
@@ -47,6 +52,7 @@ from repro.sram import (
     macro_retention,
     macro_sram,
 )
+from repro.sram.macro import MACRO_STREAM, VariationStream
 from repro.analysis.macro import macro_spec as build_macro_sweep
 
 
@@ -58,6 +64,28 @@ class TestMacroSpec:
             MacroSpec(words=64, bits=0)
         with pytest.raises(ValueError):
             MacroSpec(words=10, banks=3)  # words must divide into banks
+
+    @pytest.mark.parametrize("field", ["words", "bits", "banks", "seed"])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 4.0, "4", None])
+    def test_non_integer_fields_rejected(self, field, bad):
+        """``True`` used to pass as 1 and 2.5 words failed with a
+        "must divide evenly" message."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MacroSpec(**{"words": 64, "bits": 4, "banks": 1, field: bad})
+
+    def test_numpy_integers_accepted(self):
+        spec = MacroSpec(np.int64(64), np.uint8(4), np.int32(2), np.int64(3))
+        assert spec == MacroSpec(64, 4, 2, 3)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            MacroSpec(64, 4, 1, -1)
+
+    @pytest.mark.parametrize("word", [64, 65, -1, -64])
+    def test_bank_of_rejects_out_of_range_words(self, word):
+        """Used to return bank 4 for word 64 and bank -1 for word -1."""
+        with pytest.raises(IndexError):
+            MacroSpec(64, 4, 4).bank_of(word)
 
     def test_cell_and_bank_accounting(self):
         spec = MacroSpec(words=64, bits=8, banks=4, seed=1)
@@ -111,6 +139,137 @@ class TestMacroSpec:
         ).stdout.strip()
         assert remote == local
 
+    @pytest.mark.parametrize("chunk_words", [1, 7, 64, 1000])
+    def test_chunked_draw_equals_one_draw(self, chunk_words):
+        """Every chunking of a bank's stream gives the single draw's bits."""
+        spec = MacroSpec(words=260, bits=3, banks=2, seed=13)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(macro_module, "_CHUNK_WORDS", chunk_words)
+            for bank in range(spec.banks):
+                rng = np.random.default_rng(
+                    [MACRO_STREAM, 13, 260, 3, 2, bank]
+                )
+                assert np.array_equal(
+                    spec.bank_sigmas(bank), rng.standard_normal((130, 3, 6))
+                )
+
+
+def _encode_pair(variation, *_):
+    """Stand-in for the memoised pair solver: the pair encodes the row."""
+    row = np.array([getattr(variation, t) for t in CELL_TRANSISTORS])
+    weights = 4.0 ** np.arange(len(CELL_TRANSISTORS))
+    return float(row @ weights), -float(row @ weights)
+
+
+#: Streamed-map geometries: 130 words per bank is not a multiple of the
+#: 64-word chunk, 8 is less than one chunk.
+_STREAM_SPECS = [
+    MacroSpec(words=130, bits=1, banks=1, seed=5),
+    MacroSpec(words=390, bits=3, banks=3, seed=11),
+    MacroSpec(words=140, bits=64, banks=2, seed=17),
+    MacroSpec(words=24, bits=4, banks=3, seed=13),
+]
+
+
+class TestVariationStream:
+    """The streamed map (skew scores + checkpoint redraws) against the
+    whole ``(words, bits, 6)`` map it replaces, cell for cell."""
+
+    @pytest.mark.parametrize("buckets", [1, 4, 16, "n_cells"])
+    @pytest.mark.parametrize(
+        "spec", _STREAM_SPECS,
+        ids=lambda s: f"{s.words}x{s.bits}/{s.banks}",
+    )
+    def test_stream_equals_whole_map(self, spec, buckets):
+        for bank in [None, *range(spec.banks)]:
+            full = spec.variation_sigmas() if bank is None else spec.bank_sigmas(bank)
+            rows = full.reshape(-1, 6)
+            n_buckets = len(rows) if buckets == "n_cells" else buckets
+            stream = VariationStream(spec, bank)
+            assert stream.scores.tobytes() == skew_scores(rows).tobytes()
+            codes, reps = rank_buckets(stream.scores, n_buckets)
+            ref_codes, ref_reps = rank_buckets(skew_scores(rows), n_buckets)
+            assert np.array_equal(codes, ref_codes)
+            assert np.array_equal(reps, ref_reps)
+            assert stream[reps].tobytes() == rows[reps].tobytes()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(drv_module, "drv_ds_pair_cached", _encode_pair)
+                engine = macro_retention(spec, bank, buckets=n_buckets)
+                codes, drv1, drv0 = drv_ds_pair_map(
+                    skew_scores(rows), rows, buckets=n_buckets
+                )
+            assert np.array_equal(engine.codes, codes.reshape(full.shape[:2]))
+            assert engine.drv_table.tobytes() == np.stack([drv0, drv1]).tobytes()
+
+    @pytest.mark.parametrize("bank", [None, 1])
+    def test_solved_tables_equal_whole_map(self, bank):
+        """Real DRV solves of the representatives, not a stand-in."""
+        spec = MacroSpec(words=260, bits=4, banks=2, seed=21)
+        full = spec.variation_sigmas() if bank is None else spec.bank_sigmas(bank)
+        rows = full.reshape(-1, 6)
+        engine = macro_retention(spec, bank, "typical", -40.0, buckets=4)
+        codes, drv1, drv0 = drv_ds_pair_map(
+            skew_scores(rows), rows, "typical", -40.0, buckets=4
+        )
+        assert np.array_equal(engine.codes.ravel(), codes)
+        assert np.array_equal(engine.drv_table, np.stack([drv0, drv1]))
+
+    def test_rows_in_any_order(self):
+        spec = MacroSpec(words=200, bits=2, banks=2, seed=3)
+        rows = spec.variation_sigmas().reshape(-1, 6)
+        cells = np.random.default_rng(7).permutation(len(rows))[:50]
+        cells = np.concatenate([cells, cells[:5], [0, len(rows) - 1]])
+        assert np.array_equal(VariationStream(spec)[cells], rows[cells])
+        assert VariationStream(spec)[np.empty(0, np.intp)].shape == (0, 6)
+
+    @pytest.mark.parametrize("cell", [-1, 800])
+    def test_out_of_range_cells_rejected(self, cell):
+        with pytest.raises(IndexError):
+            VariationStream(MacroSpec(words=200, bits=2, banks=2, seed=3))[[0, cell]]
+
+    def test_bad_bank_rejected(self):
+        with pytest.raises(IndexError):
+            VariationStream(MacroSpec(words=32, bits=2, banks=2), bank=2)
+
+    def test_scores_do_not_depend_on_the_blas_kernel(self):
+        """Skew scores are a fixed-order sum, so an OpenBLAS core type
+        forced in a child process gives the same bytes.  A BLAS
+        matrix-vector product differs in the last bits on this map between
+        the Haswell and Prescott kernels."""
+        spec = MacroSpec(words=256, bits=16, banks=2, seed=17)
+        script = (
+            "import hashlib\n"
+            "from repro.cell.drv import skew_scores\n"
+            "from repro.sram.macro import MacroSpec, VariationStream\n"
+            "spec = MacroSpec(words=256, bits=16, banks=2, seed=17)\n"
+            "rows = spec.variation_sigmas().reshape(-1, 6)\n"
+            "for scores in (skew_scores(rows), VariationStream(spec).scores):\n"
+            "    print(hashlib.sha256(scores.tobytes()).hexdigest())\n"
+        )
+        local = hashlib.sha256(
+            skew_scores(spec.variation_sigmas().reshape(-1, 6)).tobytes()
+        ).hexdigest()
+        src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir),
+                   OPENBLAS_CORETYPE="Prescott")
+        remote = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.split()
+        assert remote == [local, local]
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_peak_memory_below_the_whole_map(self, seed):
+        """A 4096 x 64 bank used to hold its whole 12.6 MB float64 map."""
+        spec = MacroSpec(4096, 64, 1, seed)
+        tracemalloc.start()
+        try:
+            macro_retention(spec, 0, buckets=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 64 * 6 * 8
+
 
 class TestCampaignFingerprint:
     def test_macro_seed_feeds_the_fingerprint(self):
@@ -151,6 +310,15 @@ class TestSkewScores:
         with pytest.raises(ValueError):
             skew_scores(np.zeros((4, 5)))
 
+    def test_sum_is_added_left_to_right(self):
+        """The documented order, ``-s0 - s1 + s2 + s3 - s4 + s5``, one
+        rounded double operation at a time (Python floats round the same)."""
+        sig = np.random.default_rng(53).standard_normal((500, 6)) * 10.0 ** (
+            np.random.default_rng(59).integers(-8, 8, size=(500, 6))
+        )
+        expected = [-a - b + c + d - e + f for a, b, c, d, e, f in sig.tolist()]
+        assert skew_scores(sig).tolist() == expected
+
 
 class TestDrvPairMap:
     def test_small_population_is_exact(self):
@@ -158,7 +326,7 @@ class TestDrvPairMap:
         equal the direct per-cell pairs bit for bit."""
         rng = np.random.default_rng(17)
         sig = rng.standard_normal((3, 6)) * 2.0
-        codes, drv1, drv0 = drv_ds_pair_map(sig, buckets=8)
+        codes, drv1, drv0 = drv_ds_pair_map(skew_scores(sig), sig, buckets=8)
         for i, row in enumerate(sig):
             variation = CellVariation(**dict(zip(CELL_TRANSISTORS, map(float, row))))
             pair = drv_ds_pair(variation)
@@ -170,7 +338,7 @@ class TestDrvPairMap:
         the bucket count."""
         rng = np.random.default_rng(23)
         sig = rng.standard_normal((64, 6)) * 2.0
-        codes, drv1, drv0 = drv_ds_pair_map(sig, buckets=4)
+        codes, drv1, drv0 = drv_ds_pair_map(skew_scores(sig), sig, buckets=4)
         assert len(codes) == 64
         assert len(np.unique(drv1[codes])) <= 4
         assert len(np.unique(drv0[codes])) <= 4
@@ -178,12 +346,13 @@ class TestDrvPairMap:
     def test_map_is_deterministic(self):
         rng = np.random.default_rng(29)
         sig = rng.standard_normal((32, 6))
-        a = drv_ds_pair_map(sig, buckets=3)
-        b = drv_ds_pair_map(sig, buckets=3)
+        a = drv_ds_pair_map(skew_scores(sig), sig, buckets=3)
+        b = drv_ds_pair_map(skew_scores(sig), sig, buckets=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_empty_population(self):
-        codes, drv1, drv0 = drv_ds_pair_map(np.empty((0, 6)), buckets=4)
+        empty = np.empty((0, 6))
+        codes, drv1, drv0 = drv_ds_pair_map(skew_scores(empty), empty, buckets=4)
         assert codes.shape == drv1.shape == drv0.shape == (0,)
 
     def test_pair_memo_hits(self):
@@ -203,15 +372,19 @@ class TestDrvPairMap:
         sig = np.zeros((5, 6))
         sig[2, 4] = bad
         with pytest.raises(ValueError, match="finite"):
-            drv_ds_pair_map(sig, buckets=2)
+            drv_ds_pair_map(skew_scores(sig), sig, buckets=2)
 
     @pytest.mark.parametrize("buckets", [0, -4])
     def test_non_positive_buckets_rejected(self, buckets):
         """Used to be clamped to one bucket without a word."""
         with pytest.raises(ValueError, match="buckets"):
-            drv_ds_pair_map(np.zeros((5, 6)), buckets=buckets)
+            drv_ds_pair_map(
+                skew_scores(np.zeros((5, 6))), np.zeros((5, 6)), buckets=buckets
+            )
         with pytest.raises(ValueError, match="buckets"):
-            drv_ds_pair_map(np.empty((0, 6)), buckets=buckets)
+            drv_ds_pair_map(
+                skew_scores(np.empty((0, 6))), np.empty((0, 6)), buckets=buckets
+            )
 
 
 def _argsort_buckets(scores, buckets):
@@ -275,7 +448,7 @@ class TestRankSelection:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(drv_module, "drv_ds_pair_cached", encode)
-            codes, drv1, drv0 = drv_ds_pair_map(sig, buckets=buckets)
+            codes, drv1, drv0 = drv_ds_pair_map(skew_scores(sig), sig, buckets=buckets)
         ref_codes, ref_reps = _argsort_buckets(skew_scores(sig), buckets)
         assert np.array_equal(codes, ref_codes)
         assert np.array_equal(drv1, sig[ref_reps] @ weights)

@@ -1,7 +1,7 @@
-"""E10 - sweep service: submission latency, multi-tenant throughput,
-dedupe overhead and remote-worker scaling.
+"""E10 - sweep service: submission latency, multi-tenant throughput and
+dedupe overhead.
 
-Four service-level contracts, measured against the same
+Three service-level contracts, measured against the same
 :class:`~repro.serve.service.SweepService` the daemon wraps:
 
 * submission-to-first-result latency stays interactive (the long-poll
@@ -10,27 +10,16 @@ Four service-level contracts, measured against the same
   dedupe collapsing the shared grid to one execution per unique point;
 * the service layer's bookkeeping (job store, event log, subscriber
   fan-out) costs <=10% wall time over driving the executor directly on
-  an equivalent warm-cache sweep;
-* two remote ``repro worker`` processes sustain >=1.5x the aggregate
-  points/sec of one worker on a scheduling-bound probe grid (the
-  multi-host tier actually scales instead of serialising on the lease
-  protocol).
+  an equivalent warm-cache sweep.
 """
 
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 from repro.campaign import SweepSpec, TaskPoint, run_campaign, task
 from repro.serve import SweepService
-from repro.serve.client import ServeClient
 
 #: Wall-clock ceiling for every in-bench wait.
 DEADLINE = 60.0
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 @task("bench-serve-spin")
@@ -142,70 +131,3 @@ def test_dedupe_overhead_vs_direct_executor(benchmark, tmp_path_factory):
         f"({served_elapsed:.4f}s vs {direct_elapsed:.4f}s direct)"
     )
 
-
-# -- remote-worker scaling --------------------------------------------------
-
-
-def _spawn(args, token=None):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    if token is not None:
-        env["REPRO_WORKER_TOKEN"] = token
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", *args],
-        env=env, cwd=str(REPO),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
-def _worker_farm_rate(tmp_path, n_workers, n_points, sleep_ms=100):
-    """Aggregate points/sec of ``n_workers`` remote workers on a fresh
-    jobs=0 daemon: submit one scheduling-bound probe sweep, time it to
-    DONE over HTTP."""
-    cache = tmp_path / f"farm-{n_workers}"
-    port_file = tmp_path / f"port-{n_workers}"
-    daemon = _spawn(["serve", "--cache-dir", str(cache), "--jobs", "0",
-                     "--port", "0", "--port-file", str(port_file)])
-    workers = []
-    try:
-        deadline = time.monotonic() + DEADLINE
-        while not (port_file.exists() and port_file.read_text().strip()):
-            assert time.monotonic() < deadline, "daemon never bound"
-            time.sleep(0.05)
-        url = f"http://127.0.0.1:{int(port_file.read_text())}"
-        client = ServeClient(url)
-        workers = [
-            _spawn(["worker", "--url", url, "--name", f"bench-{i}"])
-            for i in range(n_workers)
-        ]
-        while client.stats()["counters"].get(
-                "serve.workers.registered", 0) < n_workers:
-            assert time.monotonic() < deadline, "workers never registered"
-            time.sleep(0.05)
-        start = time.perf_counter()
-        job = client.submit({"name": f"farm-{n_workers}", "tasks": [
-            {"kind": "probe", "params": {"x": x, "sleep_ms": sleep_ms}}
-            for x in range(n_points)
-        ]})
-        final = client.wait(job["id"], timeout=DEADLINE)
-        elapsed = time.perf_counter() - start
-        assert final["state"] == "done", f"sweep ended {final['state']}"
-        return n_points / elapsed
-    finally:
-        for proc in workers + [daemon]:
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait(10)
-
-
-def test_two_workers_scale_over_one(tmp_path):
-    # 40 points x 100ms in chunks of 5: one worker runs the 8 chunks
-    # back to back, two workers split them 4/4.  The gate is deliberately
-    # below the ideal 2x to absorb lease/heartbeat overhead and CI jitter.
-    single = _worker_farm_rate(tmp_path, 1, 40)
-    double = _worker_farm_rate(tmp_path, 2, 40)
-    print(f"\nremote scaling: 1 worker {single:.1f} pts/s, "
-          f"2 workers {double:.1f} pts/s ({double / single:.2f}x)")
-    assert double >= 1.5 * single, (
-        f"two workers only {double / single:.2f}x one worker "
-        f"({double:.1f} vs {single:.1f} points/s)"
-    )

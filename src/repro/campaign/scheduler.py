@@ -29,8 +29,6 @@ other tenants' work keeps flowing through the same pool.
 
 from __future__ import annotations
 
-import itertools
-import secrets
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,10 +43,6 @@ DEFAULT_TENANT = "default"
 #: How many times a single-point chunk may be lost to pool breaks before
 #: it is sent to the isolation queue for a definitive verdict.
 SUSPECT_AFTER_LOSSES = 2
-
-#: Default lease lifetime for remote workers: a missed heartbeat window
-#: this long expires the lease and requeues (with blame) its chunk.
-DEFAULT_LEASE_TTL_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -153,69 +147,15 @@ def chunk_points(
     An explicit ``chunksize`` wins; inline execution (``jobs=1``) gets
     size 1 so interrupts checkpoint after every task; pools aim for ~4
     chunks per worker so stragglers rebalance, while keeping chunks big
-    enough to amortise dispatch.  ``jobs=0`` is the daemon's remote-only
-    mode - the worker count is unknown at chunking time, so it assumes a
-    small fleet (~2 workers x 4 chunks each).
+    enough to amortise dispatch.
     """
     if chunksize is not None:
         size = max(1, chunksize)
     elif jobs == 1:
         size = 1
     else:
-        lanes = jobs * 4 if jobs >= 2 else 8
-        size = max(1, min(8, -(-len(pending) // lanes)))
+        size = max(1, min(8, -(-len(pending) // (jobs * 4))))
     return [list(pending[i:i + size]) for i in range(0, len(pending), size)]
-
-
-@dataclass
-class Lease:
-    """One chunk checked out by a remote worker, with a heartbeat deadline.
-
-    Leases are the remote analogue of a pool future: granting one pops
-    the chunk off its queue, a heartbeat extends ``deadline``, and a
-    deadline passed without one means the worker is presumed dead - the
-    chunk re-enters the queue through the same blamable lost-chunk path
-    a crashed pool process uses (bisection, suspect graduation).
-    """
-
-    id: str
-    worker_id: str
-    chunk: Chunk
-    granted: float
-    deadline: float
-
-    def expired(self, now: float) -> bool:
-        return now >= self.deadline
-
-
-@dataclass
-class WorkerInfo:
-    """Registration record and per-worker lease accounting."""
-
-    id: str
-    name: str = ""
-    pid: Optional[int] = None
-    host: str = ""
-    registered: float = 0.0
-    last_seen: float = 0.0
-    leases_granted: int = 0
-    leases_completed: int = 0
-    leases_expired: int = 0
-    leases_abandoned: int = 0
-
-    def state(self, now: float, ttl_s: float) -> str:
-        """Liveness bucket: ``live`` | ``suspect`` | ``lost``.
-
-        A worker is live while it has been heard from within one lease
-        TTL (idle workers poll the lease endpoint, busy ones heartbeat),
-        suspect within three, lost beyond that.
-        """
-        silent = now - self.last_seen
-        if silent <= ttl_s:
-            return "live"
-        if silent <= 3.0 * ttl_s:
-            return "suspect"
-        return "lost"
 
 
 class RespawnBudgetExceeded(RuntimeError):
@@ -237,13 +177,9 @@ class Scheduler:
         self,
         suspect_after_losses: int = SUSPECT_AFTER_LOSSES,
         backoff: Optional[BackoffPolicy] = None,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     ) -> None:
         self.suspect_after_losses = suspect_after_losses
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        if lease_ttl_s <= 0.0:
-            raise ValueError(f"lease_ttl_s must be positive, got {lease_ttl_s}")
-        self.lease_ttl_s = lease_ttl_s
         #: Observer fired by :meth:`next_chunk` with ``(chunk, waited_s)``
         #: - how long the chunk sat queued before dispatch.  The daemon
         #: hangs its queue-wait SLO histogram here.
@@ -259,10 +195,6 @@ class Scheduler:
         self._limits: Dict[str, RateLimit] = {}
         self._respawns = 0
         self._respawn_cap: Optional[int] = None
-        self._workers: Dict[str, WorkerInfo] = {}
-        self._leases: Dict[str, Lease] = {}
-        self._worker_seq = itertools.count(1)
-        self._lease_seq = itertools.count(1)
 
     # -- intake ------------------------------------------------------------
 
@@ -431,8 +363,8 @@ class Scheduler:
         Returns the number of *points* removed.  Used by the daemon when
         a job is cancelled before dispatch: chunks whose every point lost
         its last subscriber are dead weight the pool must not burn time
-        on.  In-flight and leased chunks are untouched - cancellation
-        never claws back running work.
+        on.  In-flight chunks are untouched - cancellation never claws
+        back running work.
         """
         removed = 0
         for tenant, queue in self._queues.items():
@@ -444,147 +376,6 @@ class Scheduler:
                     kept.append((stamp, chunk))
             self._queues[tenant] = kept
         return removed
-
-    # -- remote workers: registration, leases, heartbeats ------------------
-
-    def register_worker(
-        self,
-        now: float,
-        name: str = "",
-        pid: Optional[int] = None,
-        host: str = "",
-    ) -> WorkerInfo:
-        """Admit a remote worker; returns its minted registration record."""
-        worker_id = f"w{next(self._worker_seq):02d}-{secrets.token_hex(2)}"
-        info = WorkerInfo(
-            id=worker_id, name=name, pid=pid, host=host,
-            registered=now, last_seen=now,
-        )
-        self._workers[worker_id] = info
-        return info
-
-    def worker(self, worker_id: str) -> Optional[WorkerInfo]:
-        return self._workers.get(worker_id)
-
-    def touch_worker(self, worker_id: str, now: float) -> bool:
-        """Record a sign of life; False when the worker is unknown
-        (daemon restarted since registration - the worker re-registers)."""
-        info = self._workers.get(worker_id)
-        if info is None:
-            return False
-        info.last_seen = max(info.last_seen, now)
-        return True
-
-    def lease(self, worker_id: str, now: float) -> Optional[Lease]:
-        """Check the next runnable chunk out to ``worker_id``, or None.
-
-        The chunk leaves its queue exactly as a pool dispatch would
-        (fair share and rate limits apply); it comes back only through
-        :meth:`complete_lease`, :meth:`abandon_lease` or
-        :meth:`expire_leases`.  Unknown workers get None - the HTTP
-        layer turns that into a 410 so the worker re-registers.
-        """
-        info = self._workers.get(worker_id)
-        if info is None:
-            return None
-        info.last_seen = max(info.last_seen, now)
-        chunk = self.next_chunk(now)
-        if chunk is None:
-            return None
-        lease = Lease(
-            id=f"l{next(self._lease_seq):04d}-{secrets.token_hex(3)}",
-            worker_id=worker_id, chunk=chunk, granted=now,
-            deadline=now + self.lease_ttl_s,
-        )
-        self._leases[lease.id] = lease
-        info.leases_granted += 1
-        return lease
-
-    def heartbeat(self, lease_id: str, now: float) -> Optional[Lease]:
-        """Extend a live lease's deadline; None when it already expired.
-
-        A None tells the worker its lease was reaped (its chunk is back
-        in the queue, possibly already re-run elsewhere): it should stop
-        wasting cycles and drop the eventual result on the floor.
-        """
-        lease = self._leases.get(lease_id)
-        if lease is None:
-            return None
-        lease.deadline = now + self.lease_ttl_s
-        self.touch_worker(lease.worker_id, now)
-        return lease
-
-    def complete_lease(self, lease_id: str, now: float) -> Optional[Lease]:
-        """Settle a lease whose results arrived; None when too late.
-
-        A late completion (the lease already expired and was requeued)
-        must be *rejected*, not absorbed: its chunk is live again in the
-        queue, and absorbing both copies would double-count execution.
-        """
-        lease = self._leases.pop(lease_id, None)
-        if lease is None:
-            return None
-        info = self._workers.get(lease.worker_id)
-        if info is not None:
-            info.leases_completed += 1
-            info.last_seen = max(info.last_seen, now)
-        return lease
-
-    def abandon_lease(self, lease_id: str,
-                      now: Optional[float] = None) -> Optional[Lease]:
-        """Return a lease's chunk to the head of its queue, blame-free.
-
-        The graceful-drain path: a SIGTERM'd worker abandons explicitly
-        instead of letting the TTL expire, so the chunk is rescheduled
-        immediately and its points accumulate no losses (an innocent
-        drain is not a crash).
-        """
-        lease = self._leases.pop(lease_id, None)
-        if lease is None:
-            return None
-        self.requeue_front(lease.chunk, now)
-        info = self._workers.get(lease.worker_id)
-        if info is not None:
-            info.leases_abandoned += 1
-            if now is not None:
-                info.last_seen = max(info.last_seen, now)
-        return lease
-
-    def expire_leases(self, now: float) -> List[Lease]:
-        """Reap leases whose heartbeat deadline passed; requeue with blame.
-
-        The remote equivalent of a broken pool: each expired chunk goes
-        through :meth:`report_lost` with ``blamable=True``, so multi-point
-        chunks bisect and repeat-offender singletons graduate to the
-        suspect queue - a SIGKILL'd worker and a crashed pool process are
-        convicted by the same machinery.
-        """
-        expired = [l for l in self._leases.values() if l.expired(now)]
-        for lease in expired:
-            del self._leases[lease.id]
-            info = self._workers.get(lease.worker_id)
-            if info is not None:
-                info.leases_expired += 1
-            self.report_lost([lease.chunk], blamable=True)
-        return expired
-
-    @property
-    def leased(self) -> int:
-        """Points currently checked out to remote workers."""
-        return sum(len(l.chunk) for l in self._leases.values())
-
-    def leases(self) -> List[Lease]:
-        return list(self._leases.values())
-
-    def workers(self) -> List[WorkerInfo]:
-        return list(self._workers.values())
-
-    def worker_states(self, now: float) -> Dict[str, str]:
-        """``{worker_id: "live"|"suspect"|"lost"}`` for every registration."""
-        return {
-            info.id: info.state(now, self.lease_ttl_s)
-            for info in self._workers.values()
-        }
 
     # -- pool respawn budget -----------------------------------------------
 

@@ -182,10 +182,9 @@ def probe(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str, Any]:
 
     Computes a pure function of its params - optionally spinning
     ``spin`` hash rounds or sleeping ``sleep_ms`` to emulate real task
-    cost - so the serve/worker machinery can be exercised end to end
+    cost - so the daemon and pool machinery can be exercised end to end
     without dragging the solver stack in.  Registered at package level
-    (unlike test-local kinds) so subprocess pool workers and remote
-    ``repro worker`` processes can look it up.
+    (unlike test-local kinds) so subprocess pool workers can look it up.
     """
     import time as _time
 

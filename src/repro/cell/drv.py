@@ -30,6 +30,12 @@ DRV_SEARCH_HI = 1.2
 
 _BISECTION_STEPS = 16
 
+#: Cells :func:`rank_buckets` places per ``searchsorted`` call.  The call's
+#: slots and the bounds gathered at them are int64/float64 temporaries;
+#: taken a chunk at a time they stay cache-sized instead of adding 8 MB
+#: each per million cells to a macro bank's peak memory.
+_RANK_CHUNK = 1 << 16
+
 
 def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np.ndarray:
     """DRV of every lane, all lanes bisecting in lock-step.
@@ -221,13 +227,22 @@ def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarr
     ``scores`` (ascending, ties in index order), with the run sizes of
     ``np.array_split``; its representative is the cell at rank ``start_b +
     size_b // 2``.  That is exactly what splitting a stable argsort gives,
-    found without sorting: one ``np.partition`` reads the scores at the run
-    starts and the representative ranks, and the cell at stable rank ``r``
-    with score ``x`` is the ``(r - #{s < x})``-th index of
-    ``flatnonzero(scores == x)`` (``-0.0 == 0.0``, as in the sort).  A
-    cell's code is the number of run starts at or below it: ``searchsorted``
-    against the start scores, then each start's tie group split at that
-    same count.
+    found from one value sort (``np.sort``, no indices).
+
+    Its scores at the representative and run-start ranks interleave into
+    one ascending bound list ``rep_0, start_1, rep_1, ..., rep_{B-1}``; one
+    ``searchsorted(bounds, scores, side="right")``, taken ``_RANK_CHUNK``
+    cells at a time, gives every cell its slot.  A cell's code is half its
+    slot (the number of start scores at or below it), and a cell whose
+    score equals the bound before an odd slot ``2b + 1`` holds bucket
+    ``b``'s representative score.  Index order matters only inside a tie
+    group that a run start splits or that holds a representative, seen as
+    a neighbour rank with the same score.  Only such groups are ranked
+    again: ``#{s < x}`` is read off the sorted scores, one ``searchsorted``
+    against the group scores finds the members, and a member's stable rank
+    is that count plus its place in index order (``-0.0 == 0.0``, as in
+    the sort).  The cost is one sort, one ``searchsorted`` and, with split
+    ties, one more, whatever ``B`` is.
 
     Codes come in the smallest unsigned dtype holding ``B - 1``.  Raises
     ``ValueError`` for ``buckets < 1`` or a non-finite score.
@@ -243,32 +258,41 @@ def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarr
     size, extra = divmod(n, buckets)
     run = np.arange(buckets)
     starts = run * size + np.minimum(run, extra)
+    cuts = starts[1:]
     reps = starts + (size + (run < extra)) // 2
-    ranks = np.concatenate([starts[1:], reps])
-    values = np.partition(scores, ranks)[ranks].tolist()
-    groups: dict = {}
-
-    def tie_split(rank: int, value: float) -> Tuple[np.ndarray, int]:
-        """The cells scoring ``value`` and how many of them rank below ``rank``."""
-        if value not in groups:
-            groups[value] = (
-                int(np.count_nonzero(scores < value)),
-                np.flatnonzero(scores == value),
-            )
-        less, ties = groups[value]
-        return ties, rank - less
-
-    bounds = values[: buckets - 1]
-    codes = np.searchsorted(bounds, scores, side="right").astype(
-        np.min_scalar_type(buckets - 1)
-    )
-    for rank, value in zip(starts[1:].tolist(), bounds):
-        ties, below = tie_split(rank, value)
-        codes[ties[:below]] -= 1
+    ranked = np.sort(scores)
+    interleaved = np.empty(2 * buckets - 1, dtype=np.intp)
+    interleaved[0::2], interleaved[1::2] = reps, cuts
+    bounds = ranked[interleaved]
+    split = ranked[cuts - 1] == ranked[cuts]
+    loose = ((reps > 0) & (ranked[reps - 1] == ranked[reps])) | (
+        (reps < n - 1) & (ranked[np.minimum(reps + 1, n - 1)] == ranked[reps]))
+    values = np.unique(
+        np.concatenate([ranked[cuts[split]], ranked[reps[loose]]]) + 0.0)
+    less = np.searchsorted(ranked, values)
+    held = np.searchsorted(values, ranked[reps[loose]] + 0.0)
+    del ranked  # n floats: not held while the codes are written
+    codes = np.empty(n, dtype=np.min_scalar_type(buckets - 1))
     rep_cells = np.empty(buckets, dtype=np.intp)
-    for bucket, (rank, value) in enumerate(zip(reps.tolist(), values[buckets - 1:])):
-        ties, below = tie_split(rank, value)
-        rep_cells[bucket] = ties[below]
+    for lo in range(0, n, _RANK_CHUNK):
+        part = scores[lo:lo + _RANK_CHUNK]
+        slot = np.searchsorted(bounds, part, side="right")
+        codes[lo:lo + _RANK_CHUNK] = slot >> 1
+        # Slot 0 reads bounds[-1], which no score below bounds[0] can equal.
+        hits = np.flatnonzero(part == bounds[slot - 1])
+        at = slot[hits] - 1
+        rep_cells[at[at % 2 == 0] >> 1] = hits[at % 2 == 0] + lo
+    if not len(values):
+        return codes, rep_cells
+    slot = np.searchsorted(values, scores, side="right")
+    members = np.flatnonzero((slot > 0) & (scores == values[slot - 1]))
+    group = slot[members] - 1
+    stable = np.argsort(group, kind="stable")
+    members, group = members[stable], group[stable]
+    first = np.searchsorted(group, np.arange(len(values)))
+    ranks = less[group] + np.arange(len(members)) - first[group]
+    codes[members] = np.searchsorted(starts, ranks, side="right") - 1
+    rep_cells[loose] = members[first[held] + reps[loose] - less[held]]
     return codes, rep_cells
 
 
@@ -288,13 +312,14 @@ def drv_ds_pair_map(
     :data:`~repro.devices.variation.CELL_TRANSISTORS` order.  An ``(n, 6)``
     matrix does; a streamed macro map
     (:class:`~repro.sram.macro.VariationStream`) redraws just those rows.
-    A full per-cell solve would cost ``n`` bisection pairs (~0.1 s each) -
-    prohibitive for 10^6-cell macros.  Instead the cells are split by score
-    into ``buckets`` equal-population quantile runs by
-    :func:`rank_buckets`, and each run inherits the exact
-    :func:`drv_ds_pair` of its median-rank representative cell.  A million
-    cells therefore cost ``buckets`` pair solves, shared further across
-    calls by the :func:`drv_ds_pair_cached` memo.
+    A full per-cell solve would cost ``n`` bisection pairs (~17 ms a cell
+    in one lock-step :func:`drv_lanes` call) - hours for 10^6-cell macros.
+    Instead the cells are split by score into ``buckets``
+    equal-population quantile runs by :func:`rank_buckets`, and each run
+    inherits the exact :func:`drv_ds_pair` of its median-rank
+    representative cell.  A million cells therefore cost ``buckets`` pair
+    solves, shared further across calls by the
+    :func:`drv_ds_pair_cached` memo.
 
     Returns ``(codes, drv1, drv0)``: an ``(n,)`` plane of bucket codes in
     the smallest unsigned dtype holding ``buckets - 1``, and the per-bucket

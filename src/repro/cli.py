@@ -133,22 +133,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _worker_token(args) -> Optional[str]:
-    """--worker-token/--token wins; REPRO_WORKER_TOKEN is the fallback."""
-    import os
-
-    token = getattr(args, "worker_token", None) or getattr(
-        args, "token", None)
-    return token or os.environ.get("REPRO_WORKER_TOKEN") or None
-
-
 def _cache_dir(args) -> Optional[str]:
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is None and getattr(args, "resume", False):
@@ -605,9 +589,7 @@ def cmd_serve(args) -> int:
     from .serve.service import SweepService
 
     deadline = _positive_seconds(args, "deadline")
-    lease_ttl = _positive_seconds(args, "lease_ttl")
     cache_dir = _cache_dir(args) or DEFAULT_CACHE_DIR
-    kwargs = {} if lease_ttl is None else {"lease_ttl_s": lease_ttl}
     service = SweepService(
         jobs=args.jobs,
         cache_dir=cache_dir,
@@ -615,30 +597,13 @@ def cmd_serve(args) -> int:
         observe=not args.no_obs,
         obs_dir=args.obs_dir,
         rate_limits=_parse_rate_limits(args.rate_limit),
-        **kwargs,
     )
     port_file = Path(args.port_file) if args.port_file else None
     echo = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     return serve_forever(
         service, host=args.host, port=args.port, port_file=port_file,
-        echo=echo, worker_token=_worker_token(args),
+        echo=echo,
     )
-
-
-def cmd_worker(args) -> int:
-    """Run a remote sweep worker against a daemon's lease protocol."""
-    from .serve.client import ServeClient
-    from .serve.worker import SweepWorker
-
-    client = ServeClient(args.url, timeout=args.timeout,
-                         token=_worker_token(args))
-    worker = SweepWorker(
-        args.url, name=args.name, grace_s=args.grace,
-        max_chunks=args.max_chunks, client=client,
-        echo=lambda msg: print(msg, file=sys.stderr),
-    )
-    worker.install_signal_handlers()
-    return worker.run()
 
 
 def cmd_submit(args) -> int:
@@ -715,23 +680,30 @@ def cmd_jobs(args) -> int:
     return 0
 
 
-def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, cache_help: str,
+                   obs_default: str) -> None:
+    """The execution flags ``serve`` shares with every campaign command."""
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="worker processes (default 1 = serial)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist per-point results for cache-hit skip / resume")
+                   help=cache_help)
     p.add_argument("--resume", action="store_true",
                    help=f"shorthand for --cache-dir {DEFAULT_CACHE_DIR}")
-    p.add_argument("--verbose", action="store_true",
-                   help="stream per-chunk campaign progress to stderr")
     p.add_argument("--no-obs", action="store_true",
                    help="disable solver/campaign instrumentation")
     p.add_argument("--obs-dir", default=None, metavar="DIR",
                    help="where report.json/trace.jsonl go "
-                        "(default: the cache directory)")
+                        f"(default: {obs_default})")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="per-task deadline: tasks over budget are recorded "
                         "as timeouts instead of stalling the sweep")
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    _add_run_flags(p, "persist per-point results for cache-hit skip / resume",
+                   "the cache directory")
+    p.add_argument("--verbose", action="store_true",
+                   help="stream per-chunk campaign progress to stderr")
     p.add_argument("--strict", action="store_true",
                    help=f"exit {EXIT_STRICT} if any task failed, crashed "
                         "or timed out")
@@ -915,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live daemon view: queue depths, tenant rates, worker health",
+        help="live daemon view: queue depths, tenant rates, pump health",
     )
     top.add_argument("--url",
                      default=f"http://127.0.0.1:{DEFAULT_SERVE_PORT}",
@@ -938,59 +910,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port-file", default=None, metavar="PATH",
                        help="write the bound port here once listening "
                             "(for scripts using --port 0)")
-    serve.add_argument("--jobs", type=_nonneg_int, default=1, metavar="N",
-                       help="local worker processes shared by all tenants "
-                            "(0 = remote workers only)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shared result cache "
-                            f"(default: {DEFAULT_CACHE_DIR})")
-    serve.add_argument("--resume", action="store_true",
-                       help=f"alias for --cache-dir {DEFAULT_CACHE_DIR}")
-    serve.add_argument("--deadline", type=float, default=None,
-                       metavar="SECONDS", help="per-task deadline")
-    serve.add_argument("--no-obs", action="store_true",
-                       help="disable instrumentation")
-    serve.add_argument("--obs-dir", default=None, metavar="DIR",
-                       help="service report directory "
-                            "(default: <cache-dir>/serve)")
+    _add_run_flags(serve,
+                   f"shared result cache (default: {DEFAULT_CACHE_DIR})",
+                   "<cache-dir>/serve")
     serve.add_argument("--rate-limit", action="append", default=None,
                        metavar="TENANT=N",
                        help="cap a tenant at N chunk dispatches/sec "
                             "(repeatable)")
-    serve.add_argument("--worker-token", default=None, metavar="TOKEN",
-                       help="bearer token required on /v1/workers/* "
-                            "(default: $REPRO_WORKER_TOKEN; unset = open)")
-    serve.add_argument("--lease-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="remote-worker lease TTL; a lease silent this "
-                            "long is expired and its chunk requeued "
-                            "(default 15)")
     serve.set_defaults(func=cmd_serve)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a remote sweep worker: lease chunks from a daemon over "
-             "HTTP, heartbeat while computing, push results back",
-    )
-    worker.add_argument("--url",
-                        default=f"http://127.0.0.1:{DEFAULT_SERVE_PORT}",
-                        help="daemon base URL")
-    worker.add_argument("--token", default=None, metavar="TOKEN",
-                        help="bearer token for the worker routes "
-                             "(default: $REPRO_WORKER_TOKEN)")
-    worker.add_argument("--name", default="",
-                        help="worker name shown in repro stats/top")
-    worker.add_argument("--grace", type=float, default=5.0,
-                        metavar="SECONDS",
-                        help="on SIGTERM, wait this long for the in-flight "
-                             "chunk before abandoning its lease (default 5)")
-    worker.add_argument("--max-chunks", type=_positive_int, default=None,
-                        metavar="N",
-                        help="exit after completing N chunks (tests/bench)")
-    worker.add_argument("--timeout", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="per-request HTTP timeout (default 30)")
-    worker.set_defaults(func=cmd_worker)
 
     submit = sub.add_parser(
         "submit",

@@ -10,10 +10,6 @@ scraper speaks).  Naming conventions:
   ``serve_jobs_submitted_total{tenant="alice"}`` and the per-tenant SLO
   series ``serve.tenant.alice.queue_wait.seconds`` becomes the
   ``serve_queue_wait_seconds`` histogram family labelled by tenant.
-* ``serve.worker.<id>.<metric>`` collapses the same way into a
-  ``worker`` label: ``serve.worker.w01-ab12.leases.granted`` becomes
-  ``serve_worker_leases_granted_total{worker="w01-ab12"}`` - one family
-  per lease outcome no matter how many workers register.
 * Every other metric keeps its dotted name with dots mapped to
   underscores under the ``repro_`` namespace (``dc.newton.iterations``
   -> ``repro_dc_newton_iterations``); counters gain the conventional
@@ -42,9 +38,6 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Prefix of per-tenant recorder metrics (collapsed into tenant labels).
 TENANT_PREFIX = "serve.tenant."
-
-#: Prefix of per-remote-worker metrics (collapsed into worker labels).
-WORKER_PREFIX = "serve.worker."
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -109,23 +102,10 @@ def _split_tenant(name: str) -> Tuple[Optional[str], str]:
     return tenant, metric
 
 
-def _split_worker(name: str) -> Tuple[Optional[str], str]:
-    """(worker, metric) for serve.worker.* names, (None, name) otherwise."""
-    if not name.startswith(WORKER_PREFIX):
-        return None, name
-    worker, _, metric = name[len(WORKER_PREFIX):].partition(".")
-    if not worker or not metric:
-        return None, name
-    return worker, metric
-
-
 def _family_name(name: str) -> Tuple[str, Sequence[Tuple[str, str]]]:
     tenant, metric = _split_tenant(name)
     if tenant is not None:
         return f"serve_{_sanitize(metric)}", (("tenant", tenant),)
-    worker, metric = _split_worker(name)
-    if worker is not None:
-        return f"serve_worker_{_sanitize(metric)}", (("worker", worker),)
     return f"repro_{_sanitize(name)}", ()
 
 

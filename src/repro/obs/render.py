@@ -261,40 +261,6 @@ def render_serve(report: Dict[str, Any]) -> str:
     )
 
 
-def render_workers(report: Dict[str, Any]) -> str:
-    """Per-remote-worker lease accounting for daemon reports.
-
-    Rebuilt from the ``serve.worker.<id>.*`` counters the service
-    records on every lease grant/complete/expiry/abandon; empty when no
-    remote worker ever registered (one-shot runs, local-only daemons).
-    """
-    counters = report.get("counters", {})
-    workers: Dict[str, Dict[str, int]] = {}
-    prefix = "serve.worker."
-    for name, value in counters.items():
-        if not name.startswith(prefix):
-            continue
-        worker, _, metric = name[len(prefix):].partition(".")
-        workers.setdefault(worker, {})[metric] = value
-    if not workers:
-        return ""
-    rows = []
-    for worker in sorted(workers):
-        m = workers[worker]
-        rows.append([
-            worker,
-            str(m.get("leases.granted", 0)),
-            str(m.get("leases.completed", 0)),
-            str(m.get("leases.expired", 0)),
-            str(m.get("leases.abandoned", 0)),
-        ])
-    return render_table(
-        ["worker", "leased", "completed", "expired", "abandoned"],
-        rows,
-        title="Remote workers (leases)",
-    )
-
-
 def render_macro(report: Dict[str, Any]) -> str:
     """Per-bank escape map for reports produced by ``repro macro``.
 
@@ -341,10 +307,9 @@ def render_counters(report: Dict[str, Any]) -> str:
     counters = report.get("counters", {})
     interesting = {
         name: value for name, value in counters.items()
-        # campaign.* feeds the header; serve.tenant.*, serve.worker.*
-        # and macro.bank.* feed their own tables.
-        if not name.startswith(("campaign.", "serve.tenant.",
-                                "serve.worker.", "macro.bank."))
+        # campaign.* feeds the header; serve.tenant.* and macro.bank.*
+        # feed their own tables.
+        if not name.startswith(("campaign.", "serve.tenant.", "macro.bank."))
     }
     if not interesting:
         return ""
@@ -378,14 +343,10 @@ def render_top(
 
     workers = stats.get("workers", {})
     mode = workers.get("mode", "?")
-    remote = workers.get("remote", {})
-    if mode == "remote":
-        worker_text = f"workers {len(remote)} remote (no local pool)"
-    else:
-        pump = "alive" if workers.get("pump_alive") else "STOPPED"
-        worker_text = (
-            f"workers {workers.get('jobs', '?')} ({mode}, pump {pump})"
-        )
+    pump = "alive" if workers.get("pump_alive") else "STOPPED"
+    worker_text = (
+        f"workers {workers.get('jobs', '?')} ({mode}, pump {pump})"
+    )
     header = (
         f"repro top | uptime {stats.get('uptime_s', 0.0):.0f}s | "
         + worker_text
@@ -430,27 +391,6 @@ def render_top(
     ) if rows else "tenants: none yet"
 
     sections = [header, job_line, point_line, "", tenant_table]
-    if remote:
-        leased = workers.get("leased_points", 0)
-        worker_rows = []
-        for worker_id in sorted(remote):
-            w = remote[worker_id]
-            worker_rows.append([
-                worker_id,
-                w.get("name", ""),
-                w.get("state", "?"),
-                f"{w.get('last_seen_s', 0.0):.1f}s",
-                str(w.get("granted", 0)),
-                str(w.get("completed", 0)),
-                str(w.get("expired", 0)),
-                str(w.get("abandoned", 0)),
-            ])
-        sections += ["", render_table(
-            ["worker", "name", "state", "seen", "leased", "done",
-             "expired", "abandoned"],
-            worker_rows,
-            title=f"Remote workers ({leased} points leased out)",
-        )]
     return "\n".join(sections)
 
 
@@ -459,7 +399,6 @@ def render_report(report: Dict[str, Any], top_n: int = 10) -> str:
     sections = [
         render_header(report),
         render_serve(report),
-        render_workers(report),
         render_macro(report),
         render_convergence(report),
         render_slowest(report, top_n),

@@ -20,46 +20,34 @@ content-addressed result cache:
   SIGTERM drain that checkpoints in-flight jobs as resumable while
   rejecting new submissions with 503;
 * :mod:`repro.serve.client` - the stdlib HTTP client behind
-  ``repro submit`` / ``repro jobs``, with transport retries + backoff;
-* :mod:`repro.serve.worker` - :class:`SweepWorker`, the remote worker
-  runtime behind ``repro worker``: lease chunks over HTTP, heartbeat
-  while computing, deliver records, drain gracefully on SIGTERM.
+  ``repro submit`` / ``repro jobs``, with transport retries + backoff.
 
 The daemon is crash-durable: every admitted submission is written ahead
 to an fsync'd NDJSON job log (:class:`~repro.serve.state.JobLog`) and
 replayed against the shared result cache on the next start, so a
 ``kill -9``'d daemon resumes every unfinished job with zero duplicate
-compute.  Remote workers hold *leases* with heartbeat deadlines; a
-SIGKILL'd worker is convicted by the same lost-chunk machinery as a
-crashed pool process.
+compute.  The daemon runs on one host: its pool workers are local
+processes, and a crashed one is convicted by the same lost-chunk
+machinery as in a one-shot campaign.
 
-Scheduling policy (fair share, rate limits, retry/quarantine, leases) is
-*not* here - it lives in :mod:`repro.campaign.scheduler`, shared with
+Scheduling policy (fair share, rate limits, retry/quarantine) is *not*
+here - it lives in :mod:`repro.campaign.scheduler`, shared with
 the one-shot CLI campaigns.
 """
 
 from .client import ServeClient, ServeError
 from .models import JobState, submission_to_spec
-from .service import (
-    LeaseGone,
-    ServiceDraining,
-    SweepService,
-    UnknownWorker,
-)
+from .service import ServiceDraining, SweepService
 from .state import Job, JobLog, JobStore
-from .worker import SweepWorker
 
 __all__ = [
     "Job",
     "JobLog",
     "JobState",
     "JobStore",
-    "LeaseGone",
     "ServeClient",
     "ServeError",
     "ServiceDraining",
     "SweepService",
-    "SweepWorker",
-    "UnknownWorker",
     "submission_to_spec",
 ]

@@ -1,7 +1,7 @@
 """Stdlib HTTP client for the sweep service.
 
-Backs ``repro submit`` / ``repro jobs``, the remote worker runtime and
-the tests.  One ``http.client`` connection per request (the server
+Backs ``repro submit`` / ``repro jobs``, ``repro top --url`` and the
+tests.  One ``http.client`` connection per request (the server
 closes connections after each response anyway), JSON in/out, NDJSON
 event streaming via repeated long-polls - :meth:`ServeClient.stream`
 resumes from the last seen index so no delta is lost or duplicated
@@ -42,15 +42,12 @@ class ServeError(RuntimeError):
 class ServeClient:
     """Talk to one ``repro serve`` daemon as one tenant.
 
-    ``retries`` bounds *extra* attempts per request; ``token`` rides
-    along as a bearer on every request (only the worker routes check
-    it, the rest ignore it).
+    ``retries`` bounds *extra* attempts per request.
     """
 
     def __init__(self, url: str, tenant: str = "default",
                  timeout: float = 30.0, retries: int = 2,
-                 backoff: Optional[BackoffPolicy] = None,
-                 token: Optional[str] = None) -> None:
+                 backoff: Optional[BackoffPolicy] = None) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         if parts.scheme not in ("", "http"):
             raise ValueError(f"unsupported scheme {parts.scheme!r} (http only)")
@@ -61,7 +58,6 @@ class ServeClient:
         self.retries = max(0, retries)
         self.backoff = backoff if backoff is not None \
             else BackoffPolicy(base_s=0.1, cap_s=2.0)
-        self.token = token
 
     # -- transport ---------------------------------------------------------
 
@@ -69,8 +65,6 @@ class ServeClient:
                       payload: Optional[Dict[str, Any]] = None,
                       timeout: Optional[float] = None) -> Any:
         body, headers = None, {"X-Repro-Tenant": self.tenant}
-        if self.token is not None:
-            headers["Authorization"] = f"Bearer {self.token}"
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -144,42 +138,6 @@ class ServeClient:
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._request("DELETE", f"/v1/jobs/{job_id}")
-
-    # -- worker API --------------------------------------------------------
-
-    def worker_register(self, name: str = "", pid: Optional[int] = None,
-                        host: str = "") -> Dict[str, Any]:
-        return self._request("POST", "/v1/workers/register", payload={
-            "name": name, "pid": pid, "host": host,
-        })
-
-    def worker_lease(self, worker_id: str) -> Dict[str, Any]:
-        return self._request("POST", "/v1/workers/lease",
-                             payload={"worker_id": worker_id})
-
-    def worker_heartbeat(self, worker_id: str,
-                         lease_id: str) -> Dict[str, Any]:
-        return self._request("POST", "/v1/workers/heartbeat", payload={
-            "worker_id": worker_id, "lease_id": lease_id,
-        })
-
-    def worker_complete(
-        self,
-        worker_id: str,
-        lease_id: str,
-        records: List[Dict[str, Any]],
-        snapshot: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        return self._request("POST", "/v1/workers/complete", payload={
-            "worker_id": worker_id, "lease_id": lease_id,
-            "records": records, "snapshot": snapshot,
-        })
-
-    def worker_abandon(self, worker_id: str,
-                       lease_id: str) -> Dict[str, Any]:
-        return self._request("POST", "/v1/workers/abandon", payload={
-            "worker_id": worker_id, "lease_id": lease_id,
-        })
 
     def events(self, job_id: str, since: int = 0,
                wait: float = 0.0) -> List[Dict[str, Any]]:

@@ -17,18 +17,6 @@ Routes::
     GET    /v1/jobs/<id>/events         NDJSON deltas (?since=N&wait=S)
     GET    /v1/jobs/<id>/result         per-key result values
     DELETE /v1/jobs/<id>                cancel
-    POST   /v1/workers/register         remote worker sign-on
-    POST   /v1/workers/lease            check a chunk out
-    POST   /v1/workers/heartbeat        keep a lease alive
-    POST   /v1/workers/complete         deliver a leased chunk's results
-    POST   /v1/workers/abandon          blame-free return (worker drain)
-
-The ``/v1/workers/*`` routes optionally require a per-deployment bearer
-token (``Authorization: Bearer <token>``, compared constant-time);
-rejections are 401s and counted in the service obs.  A 410 on any worker
-route means the daemon no longer knows the caller (restart) or the lease
-(expired/settled) - workers re-register, and late results are refused so
-restarts never double-count execution.
 
 Shutdown: SIGTERM/SIGINT flips the service into drain mode - new
 submissions get ``503 {"error": "service is draining..."}`` with a
@@ -41,21 +29,14 @@ thread-pool executor so the event loop never stalls.
 from __future__ import annotations
 
 import asyncio
-import hmac
 import json
 import signal
-import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.export import PROM_CONTENT_TYPE
-from .service import (
-    LeaseGone,
-    ServiceDraining,
-    SweepService,
-    UnknownWorker,
-)
+from .service import ServiceDraining, SweepService
 
 #: Cap on request body size; sweep submissions are tiny.
 MAX_BODY = 4 << 20
@@ -64,9 +45,8 @@ MAX_BODY = 4 << 20
 MAX_WAIT_S = 60.0
 
 _REASONS = {
-    200: "OK", 201: "Created", 400: "Bad Request", 401: "Unauthorized",
-    404: "Not Found", 405: "Method Not Allowed", 410: "Gone",
-    413: "Payload Too Large", 500: "Internal Server Error",
+    200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 413: "Payload Too Large", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
@@ -163,16 +143,10 @@ def _query_float(query: Dict[str, list], name: str, default: float) -> float:
 
 
 class ServeApp:
-    """Routes one parsed request to the service; owns no sockets itself.
+    """Routes one parsed request to the service; owns no sockets itself."""
 
-    ``worker_token`` arms bearer auth on the ``/v1/workers/*`` routes;
-    ``None`` leaves them open (single-host development mode).
-    """
-
-    def __init__(self, service: SweepService,
-                 worker_token: Optional[str] = None) -> None:
+    def __init__(self, service: SweepService) -> None:
         self.service = service
-        self.worker_token = worker_token
 
     async def handle(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
@@ -230,16 +204,6 @@ class ServeApp:
                             for j in self.service.store.jobs(tenant)]
                 return _json_response(200, {"jobs": jobs})
             raise _HttpError(405, f"{method} not allowed on {path}")
-        if path.startswith("/v1/workers/"):
-            action = path[len("/v1/workers/"):]
-            if "/" in action or action not in (
-                "register", "lease", "heartbeat", "complete", "abandon"
-            ):
-                raise _HttpError(404, f"no such route: {path}")
-            if method != "POST":
-                raise _HttpError(405, f"{method} not allowed on {path}")
-            self._authorize_worker(headers)
-            return self._worker(action, _decode_json(body))
 
         parts = path.split("/")
         # /v1/jobs/<id>[/events|/result]
@@ -300,80 +264,6 @@ class ServeApp:
             raise _HttpError(404, f"no such job: {job_id}")
         return _json_response(200, job.to_dict())
 
-    # -- worker routes -----------------------------------------------------
-
-    def _authorize_worker(self, headers: Dict[str, str]) -> None:
-        """Constant-time bearer check; no token configured = open mode."""
-        if self.worker_token is None:
-            return
-        supplied = headers.get("authorization", "")
-        if supplied.lower().startswith("bearer "):
-            supplied = supplied[7:].strip()
-        else:
-            supplied = ""
-        if not hmac.compare_digest(
-            supplied.encode("utf-8"), self.worker_token.encode("utf-8")
-        ):
-            self.service.note_auth_rejected()
-            raise _HttpError(
-                401, "missing or invalid worker token",
-                {"WWW-Authenticate": "Bearer"},
-            )
-
-    @staticmethod
-    def _field(payload: Dict[str, Any], name: str) -> str:
-        value = payload.get(name)
-        if not isinstance(value, str) or not value:
-            raise _HttpError(400, f"{name!r} must be a non-empty string")
-        return value
-
-    def _worker(self, action: str, payload: Dict[str, Any]) -> bytes:
-        service = self.service
-        try:
-            if action == "register":
-                pid = payload.get("pid")
-                if pid is not None and not isinstance(pid, int):
-                    raise _HttpError(400, "'pid' must be an integer")
-                return _json_response(201, service.worker_register(
-                    name=str(payload.get("name", "")), pid=pid,
-                    host=str(payload.get("host", "")),
-                ))
-            worker_id = self._field(payload, "worker_id")
-            if action == "lease":
-                return _json_response(200, service.worker_lease(worker_id))
-            lease_id = self._field(payload, "lease_id")
-            if action == "heartbeat":
-                return _json_response(
-                    200, service.worker_heartbeat(worker_id, lease_id)
-                )
-            if action == "abandon":
-                return _json_response(
-                    200, service.worker_abandon(worker_id, lease_id)
-                )
-            records = payload.get("records", [])
-            if not isinstance(records, list) or not all(
-                isinstance(r, dict) for r in records
-            ):
-                raise _HttpError(400, "'records' must be a list of objects")
-            snapshot = payload.get("snapshot")
-            if snapshot is not None and not isinstance(snapshot, dict):
-                raise _HttpError(400, "'snapshot' must be an object")
-            return _json_response(200, service.worker_complete(
-                worker_id, lease_id, records, snapshot
-            ))
-        except ServiceDraining as error:
-            raise _HttpError(503, str(error), {"Retry-After": "5"})
-        except UnknownWorker as error:
-            raise _HttpError(
-                410, f"unknown worker {error.args[0]!r}; re-register"
-            )
-        except LeaseGone as error:
-            raise _HttpError(
-                410, f"lease {error.args[0]!r} expired or already settled"
-            )
-        except ValueError as error:
-            raise _HttpError(400, str(error))
-
     async def _events(self, job_id: str, query: Dict[str, list]) -> bytes:
         since = _query_int(query, "since", 0)
         wait = min(MAX_WAIT_S, max(0.0, _query_float(query, "wait", 0.0)))
@@ -396,9 +286,8 @@ class ServeApp:
 
 
 async def _serve(service: SweepService, host: str, port: int,
-                 port_file: Optional[Path], echo=print,
-                 worker_token: Optional[str] = None) -> None:
-    app = ServeApp(service, worker_token=worker_token)
+                 port_file: Optional[Path], echo=print) -> None:
+    app = ServeApp(service)
     server = await asyncio.start_server(app.handle, host, port)
     bound_port = server.sockets[0].getsockname()[1]
     if port_file is not None:
@@ -436,12 +325,10 @@ def serve_forever(
     port: int = 0,
     port_file: Optional[Path] = None,
     echo=print,
-    worker_token: Optional[str] = None,
 ) -> int:
     """Run the daemon until SIGTERM/SIGINT; returns the exit code (0)."""
     try:
-        asyncio.run(_serve(service, host, port, port_file, echo,
-                           worker_token=worker_token))
+        asyncio.run(_serve(service, host, port, port_file, echo))
     except KeyboardInterrupt:
         # Windows / loops without signal handlers: drain synchronously.
         service.drain()

@@ -30,7 +30,7 @@ HTTP so it is testable in-process:
   computes the abandoned tail.
 
 What stays in this module is what only the daemon has: jobs, tenants,
-subscriber dedupe, remote-worker leases and the durable job log.
+subscriber dedupe and the durable job log.
 
 Accounting: one service-level :class:`~repro.obs.Recorder` collects
 ``serve.*`` counters (global and per tenant) plus merged worker solver
@@ -41,14 +41,11 @@ the same tooling as one-shot runs.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-import pickle
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..campaign import (
@@ -61,11 +58,7 @@ from ..campaign import (
     TaskRecord,
 )
 from ..campaign.runtime import RunCore
-from ..campaign.scheduler import (
-    BackoffPolicy,
-    DEFAULT_LEASE_TTL_S,
-    chunk_points,
-)
+from ..campaign.scheduler import BackoffPolicy, chunk_points
 from ..obs.context import TraceContext
 from ..obs.export import render_metrics
 from ..obs.report import build_report, write_report
@@ -82,23 +75,9 @@ from .state import JOB_LOG_SUBDIR, Job, JobLog, JobStore, decode_spec
 #: Subdirectory of the cache dir receiving the service report.json.
 SERVE_OBS_SUBDIR = "serve"
 
-#: How often a leasing worker should heartbeat, as a fraction of the TTL.
-HEARTBEAT_FRACTION = 3.0
-
-#: Idle-poll hint handed to workers when no chunk is runnable, seconds.
-LEASE_RETRY_IN_S = 0.5
-
 
 class ServiceDraining(RuntimeError):
     """Submission rejected: the daemon is shutting down (HTTP 503)."""
-
-
-class UnknownWorker(KeyError):
-    """Worker id not in the registry (daemon restarted?): HTTP 410."""
-
-
-class LeaseGone(KeyError):
-    """Lease already expired/settled; late results are refused: HTTP 410."""
 
 
 class SweepService:
@@ -116,12 +95,9 @@ class SweepService:
         rate_limits: Optional[Dict[str, float]] = None,
         backoff: Optional[BackoffPolicy] = None,
         trace_max_bytes: Optional[int] = DEFAULT_TRACE_MAX_BYTES,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     ) -> None:
-        if jobs < 0:
-            raise ValueError(
-                f"jobs must be >= 0 (0 = remote workers only), got {jobs}"
-            )
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if obs_dir is not None:
@@ -142,7 +118,7 @@ class SweepService:
         self._lock = self.store.lock  # one lock tree: store + scheduler + obs
         self.recorder = obs.Recorder()
         backoff = backoff if backoff is not None else BackoffPolicy()
-        self.scheduler = Scheduler(backoff=backoff, lease_ttl_s=lease_ttl_s)
+        self.scheduler = Scheduler(backoff=backoff)
         self.scheduler.on_dispatch = self._on_dispatch
         for tenant, rate in (rate_limits or {}).items():
             self.scheduler.set_rate_limit(validate_tenant(tenant), rate)
@@ -173,8 +149,6 @@ class SweepService:
         self._draining = False
         self._started = time.monotonic()
         self._pump_thread: Optional[threading.Thread] = None
-        self._reaper_thread: Optional[threading.Thread] = None
-        self._reaper_wake = threading.Event()
         self._stop = False
 
     # -- counters ----------------------------------------------------------
@@ -207,22 +181,17 @@ class SweepService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "SweepService":
-        if self._pump_thread is not None or self._reaper_thread is not None:
+        if self._pump_thread is not None:
             raise RuntimeError("service already started")
         self.recover_jobs()
-        if self.jobs >= 1:
-            self._pump_thread = threading.Thread(
-                target=self.core.pump, args=(
-                    self.scheduler,
-                    lambda: self._draining or self._stop,
-                    self._idle_wait,
-                ), name="repro-serve-pump", daemon=True,
-            )
-            self._pump_thread.start()
-        self._reaper_thread = threading.Thread(
-            target=self._reap_loop, name="repro-serve-reaper", daemon=True
+        self._pump_thread = threading.Thread(
+            target=self.core.pump, args=(
+                self.scheduler,
+                lambda: self._draining or self._stop,
+                self._idle_wait,
+            ), name="repro-serve-pump", daemon=True,
         )
-        self._reaper_thread.start()
+        self._pump_thread.start()
         return self
 
     @property
@@ -233,15 +202,12 @@ class SweepService:
         """Stop intake; the pump checkpoints in-flight work and exits."""
         self._draining = True
         self._wake.set()
-        self._reaper_wake.set()
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Graceful shutdown: drain, join the pump, mark survivors resumable."""
         self.begin_drain()
         if self._pump_thread is not None:
             self._pump_thread.join(timeout)
-        if self._reaper_thread is not None:
-            self._reaper_thread.join(timeout)
         interrupted = 0
         with self._lock:
             for job in self.store.jobs():
@@ -394,9 +360,9 @@ class SweepService:
     def recover_jobs(self) -> int:
         """Replay unfinished submissions from the durable job log.
 
-        Called by :meth:`start` before any pump or worker touches the
-        scheduler.  Each pending entry resubmits under its original job
-        id and tenant; points already computed before the crash replay
+        Called by :meth:`start` before the pump touches the scheduler.
+        Each pending entry resubmits under its original job id and
+        tenant; points already computed before the crash replay
         instantly as cache hits, so a restart never duplicates compute.
         Undecodable entries are counted, terminally marked (so they stop
         poisoning every future start) and skipped.  The log is compacted
@@ -473,8 +439,7 @@ class SweepService:
     def _fan_out(self, chunk: Chunk, records: List[TaskRecord]) -> None:
         """RunCore ``deliver`` hook: hand a checkpointed chunk to its jobs.
 
-        Called with the lock held, from the pump thread or a worker
-        completion.
+        Called with the lock held, from the pump thread.
         """
         fingerprint = chunk.meta.fingerprint
         self._count("serve.points.executed", len(records), tenant=chunk.tenant)
@@ -496,223 +461,6 @@ class SweepService:
                 self.store.emit(job, "progress", **job.progress_fields())
             else:
                 self._finish(job)
-
-    # -- remote workers ----------------------------------------------------
-
-    def worker_register(self, name: str = "", pid: Optional[int] = None,
-                        host: str = "") -> Dict[str, Any]:
-        """Admit a remote worker; returns its id and the execution policy.
-
-        The response mirrors the daemon's own execution parameters
-        (retries, observe, deadline) so a leased chunk runs under exactly
-        the policy a local pool worker would apply - values stay
-        bit-identical no matter which tier computed them.
-        """
-        if self._draining:
-            raise ServiceDraining("service is draining; no new workers")
-        with self._lock:
-            info = self.scheduler.register_worker(
-                time.monotonic(), name=name, pid=pid, host=host,
-            )
-            self._count("serve.workers.registered")
-            self.trace.emit(
-                "worker-register", worker=info.id, name=name,
-                pid=pid, host=host,
-            )
-            ttl = self.scheduler.lease_ttl_s
-        return {
-            "worker_id": info.id,
-            "lease_ttl_s": ttl,
-            "heartbeat_s": ttl / HEARTBEAT_FRACTION,
-            "retries": self.core.retries,
-            "observe": self.core.observe,
-            "deadline_s": self.core.deadline_s,
-        }
-
-    def worker_lease(self, worker_id: str) -> Dict[str, Any]:
-        """Check a chunk out to ``worker_id``, in wire form.
-
-        ``{"lease": null, "retry_in": s, "draining": bool}`` when nothing
-        is runnable (idle, rate-limited, or draining); otherwise the lease
-        carries the points as ``{kind, params}`` pairs (JSON round-trips
-        are key-stable - the worker rebuilds them via ``TaskPoint.make``)
-        plus the pickled execution context, which may hold arbitrary
-        Python objects.  Raises :class:`UnknownWorker` (HTTP 410) when the
-        id is not registered - the daemon restarted; re-register.
-        """
-        with self._lock:
-            now = time.monotonic()
-            if self.scheduler.worker(worker_id) is None:
-                raise UnknownWorker(worker_id)
-            self.scheduler.touch_worker(worker_id, now)
-            if self._draining:
-                return {"lease": None, "retry_in": LEASE_RETRY_IN_S,
-                        "draining": True}
-            lease = self.scheduler.lease(worker_id, now)
-            if lease is None:
-                return {"lease": None, "retry_in": LEASE_RETRY_IN_S,
-                        "draining": False}
-            chunk = lease.chunk
-            self._count("serve.leases.granted", tenant=chunk.tenant)
-            self._count(f"serve.worker.{worker_id}.leases.granted")
-            self.trace.emit(
-                "lease-grant", lease=lease.id, worker=worker_id,
-                tenant=chunk.tenant, points=len(chunk),
-            )
-            context = chunk.meta.context
-            return {
-                "lease": {
-                    "id": lease.id,
-                    "tenant": chunk.tenant,
-                    "fingerprint": chunk.meta.fingerprint,
-                    "points": [
-                        {"kind": p.kind, "params": p.as_dict()}
-                        for p in chunk.points
-                    ],
-                    "context_b64": base64.b64encode(
-                        pickle.dumps(
-                            context, protocol=pickle.HIGHEST_PROTOCOL)
-                    ).decode("ascii") if context else None,
-                    "trace": chunk.meta.trace,
-                    "ttl_s": self.scheduler.lease_ttl_s,
-                },
-                "draining": False,
-            }
-
-    def worker_heartbeat(self, worker_id: str,
-                         lease_id: str) -> Dict[str, Any]:
-        """Extend a lease; raises :class:`LeaseGone` once it was reaped."""
-        with self._lock:
-            now = time.monotonic()
-            if not self.scheduler.touch_worker(worker_id, now):
-                raise UnknownWorker(worker_id)
-            lease = self.scheduler.heartbeat(lease_id, now)
-            if lease is None:
-                raise LeaseGone(lease_id)
-            return {
-                "lease_id": lease.id,
-                "ttl_s": self.scheduler.lease_ttl_s,
-                "draining": self._draining,
-            }
-
-    def worker_complete(
-        self,
-        worker_id: str,
-        lease_id: str,
-        records: Sequence[Dict[str, Any]],
-        snapshot: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        """Absorb a leased chunk's results.
-
-        Late completions (the lease expired and its chunk is live again
-        in the queue) raise :class:`LeaseGone` and the records are
-        *dropped* - absorbing both copies would double-count execution.
-        Records are filtered to the leased point keys; expected keys the
-        worker failed to report are requeued at the front so a partial
-        completion can never hang a subscribed job.
-        """
-        parsed = [TaskRecord.from_json(json.dumps(r)) for r in records]
-        with self._lock:
-            now = time.monotonic()
-            if not self.scheduler.touch_worker(worker_id, now):
-                raise UnknownWorker(worker_id)
-            lease = self.scheduler.complete_lease(lease_id, now)
-            if lease is None:
-                self._count("serve.leases.rejected_late")
-                raise LeaseGone(lease_id)
-            chunk = lease.chunk
-            expected = {p.key for p in chunk.points}
-            keep = [r for r in parsed if r.key in expected]
-            got = {r.key for r in keep}
-            missing = [p for p in chunk.points if p.key not in got]
-            self._count("serve.leases.completed", tenant=chunk.tenant)
-            self._count(f"serve.worker.{worker_id}.leases.completed")
-            self.trace.emit(
-                "lease-complete", lease=lease.id, worker=worker_id,
-                absorbed=len(keep), requeued=len(missing),
-            )
-            if missing:
-                self.scheduler.requeue_front(
-                    Chunk.make(missing, chunk.tenant, meta=chunk.meta), now
-                )
-        done = Chunk.make(
-            [p for p in chunk.points if p.key in got],
-            chunk.tenant, meta=chunk.meta,
-        )
-        if keep:
-            self.core.absorb(done, keep, snapshot)
-        if missing:
-            self._wake.set()
-        return {"absorbed": len(keep), "requeued": len(missing)}
-
-    def worker_abandon(self, worker_id: str,
-                       lease_id: str) -> Dict[str, Any]:
-        """Blame-free lease return: the graceful SIGTERM-drain path."""
-        with self._lock:
-            now = time.monotonic()
-            self.scheduler.touch_worker(worker_id, now)
-            lease = self.scheduler.abandon_lease(lease_id, now)
-            if lease is None:
-                raise LeaseGone(lease_id)
-            self._count("serve.leases.abandoned",
-                        tenant=lease.chunk.tenant)
-            self._count(f"serve.worker.{worker_id}.leases.abandoned")
-            self.trace.emit(
-                "lease-abandon", lease=lease.id, worker=worker_id,
-                points=len(lease.chunk),
-            )
-        self._wake.set()
-        return {"requeued": len(lease.chunk)}
-
-    def note_auth_rejected(self) -> None:
-        """Count a bearer-token rejection (the HTTP layer calls this)."""
-        self._count("serve.auth.rejected")
-
-    # -- the lease reaper --------------------------------------------------
-
-    def _reap_loop(self) -> None:
-        """Expire silent leases on a cadence well inside the TTL."""
-        interval = min(1.0, self.scheduler.lease_ttl_s / 4.0)
-        while not (self._stop or self._draining):
-            self._reaper_wake.wait(interval)
-            self._reaper_wake.clear()
-            if self._stop or self._draining:
-                return
-            self._expire_leases()
-
-    def _expire_leases(self) -> None:
-        expired = []
-        with self._lock:
-            now = time.monotonic()
-            expired = self.scheduler.expire_leases(now)
-            for lease in expired:
-                self._count("serve.leases.expired",
-                            tenant=lease.chunk.tenant)
-                self._count(
-                    f"serve.worker.{lease.worker_id}.leases.expired")
-                self.trace.emit(
-                    "lease-expired", lease=lease.id,
-                    worker=lease.worker_id, points=len(lease.chunk),
-                )
-            if self.jobs <= 1:
-                # No isolation pool to give a repeat offender a last
-                # fair run: running a point that (apparently) killed two
-                # workers inline could take the daemon down, so convict
-                # straight from the suspect queue.
-                while True:
-                    suspect = self.scheduler.next_suspect()
-                    if suspect is None:
-                        break
-                    point = suspect.points[0]
-                    losses = self.scheduler.losses(point.key)
-                    self.core.quarantine(
-                        suspect, point, "crashed",
-                        f"convicted: lease lost {losses} times "
-                        f"(remote worker presumed dead)",
-                        attempts=losses + 1,
-                    )
-        if expired:
-            self._wake.set()
 
     # -- the pump ----------------------------------------------------------
 
@@ -746,14 +494,6 @@ class SweepService:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             pump = self._pump_thread
-            now = time.monotonic()
-            ttl = self.scheduler.lease_ttl_s
-            if self.jobs == 0:
-                mode = "remote"
-            elif self.jobs == 1:
-                mode = "inline"
-            else:
-                mode = "pool"
             return {
                 "draining": self._draining,
                 "jobs": self.store.states(),
@@ -761,27 +501,11 @@ class SweepService:
                 "queued_points": self.scheduler.pending(),
                 "queued_by_tenant": self.scheduler.pending_by_tenant(),
                 "counters": dict(sorted(self.recorder.counters.items())),
-                "uptime_s": now - self._started,
+                "uptime_s": time.monotonic() - self._started,
                 "workers": {
                     "jobs": self.jobs,
-                    "mode": mode,
+                    "mode": "inline" if self.jobs == 1 else "pool",
                     "pump_alive": bool(pump is not None and pump.is_alive()),
-                    "lease_ttl_s": ttl,
-                    "leased_points": self.scheduler.leased,
-                    "remote": {
-                        info.id: {
-                            "name": info.name,
-                            "pid": info.pid,
-                            "host": info.host,
-                            "state": info.state(now, ttl),
-                            "last_seen_s": round(now - info.last_seen, 3),
-                            "granted": info.leases_granted,
-                            "completed": info.leases_completed,
-                            "expired": info.leases_expired,
-                            "abandoned": info.leases_abandoned,
-                        }
-                        for info in self.scheduler.workers()
-                    },
                 },
             }
 
@@ -806,8 +530,6 @@ class SweepService:
             uptime = time.monotonic() - self._started
             draining = self._draining
             pump = self._pump_thread
-            leased = self.scheduler.leased
-            worker_states = self.scheduler.worker_states(time.monotonic())
         gauges: List[Tuple[str, Any, float]] = [
             ("serve_uptime_seconds", (), uptime),
             ("serve_draining", (), 1.0 if draining else 0.0),
@@ -815,13 +537,7 @@ class SweepService:
             ("serve_pump_alive", (),
              1.0 if pump is not None and pump.is_alive() else 0.0),
             ("serve_queue_depth_points", (), float(queued_total)),
-            ("serve_leased_points", (), float(leased)),
         ]
-        for state in ("live", "suspect", "lost"):
-            gauges.append((
-                "serve_workers", (("state", state),),
-                float(sum(1 for s in worker_states.values() if s == state)),
-            ))
         for state in JobState:
             gauges.append((
                 "serve_jobs_total", (("state", state.value),),

@@ -506,7 +506,8 @@ def _solve_dc_once(
             if x is not None:
                 return Solution(circuit, x), label, total_iters
             trail.append(
-                f"{label}(release to gmin={gmin:g}, {_run_note(iters, stalled)})"
+                f"{label}(failed at final gmin={gmin:g}, "
+                f"{_run_note(iters, stalled)})"
             )
 
     # Source stepping: continuation from the all-off circuit, with a softer

@@ -256,7 +256,6 @@ class TestResilienceFlags:
 
     @pytest.mark.parametrize("argv, flag", [
         (["serve", "--deadline", "0"], "--deadline must be positive"),
-        (["serve", "--lease-ttl", "-1"], "--lease-ttl must be positive"),
     ])
     def test_serve_nonpositive_seconds_rejected(self, argv, flag):
         with pytest.raises(SystemExit, match=flag):
@@ -300,6 +299,51 @@ class TestResilienceFlags:
         assert main(["stats", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cache.lines.corrupt" in out
+
+
+#: Commands that take the shared execution flags: the daemon, the campaign
+#: umbrella and the per-artifact campaign commands.
+_RUN_COMMANDS = [["serve"], ["campaign", "table2"], ["table2"], ["mc"],
+                 ["macro"]]
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("command", _RUN_COMMANDS, ids=" ".join)
+    def test_shared_flags_parse_alike(self, command):
+        args = build_parser().parse_args([
+            *command, "--jobs", "3", "--cache-dir", "c", "--resume",
+            "--no-obs", "--obs-dir", "o", "--deadline", "5",
+        ])
+        assert (args.jobs, args.cache_dir, args.resume, args.no_obs,
+                args.obs_dir, args.deadline) == (3, "c", True, True, "o", 5.0)
+
+    @pytest.mark.parametrize("command", _RUN_COMMANDS, ids=" ".join)
+    def test_jobs_below_one_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--jobs", "0"])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, cache_dir, obs_dir", [
+        ([], ".repro-cache", ".repro-cache/serve"),
+        (["--resume"], ".repro-cache", ".repro-cache/serve"),
+        (["--cache-dir", "c"], "c", "c/serve"),
+        (["--cache-dir", "c", "--obs-dir", "o"], "c", "o"),
+    ])
+    def test_serve_cache_and_obs_defaults(self, monkeypatch, tmp_path,
+                                          flags, cache_dir, obs_dir):
+        """``serve`` always has a cache; its report goes beside it."""
+        import repro.serve.server as server
+
+        seen = []
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(server, "serve_forever",
+                            lambda service, **kwargs: seen.append(service) or 0)
+        assert main(["serve", *flags]) == 0
+        (service,) = seen
+        assert service.jobs == 1
+        assert service.cache.directory.as_posix() == cache_dir
+        assert service.obs_dir.as_posix() == obs_dir
 
 
 class TestMacroCommand:

@@ -53,7 +53,7 @@ class _LockProbe:
     """Scheduler stand-in recording every call made without ``lock``.
 
     Method calls and property reads (which walk the queues) count; plain
-    configuration attributes such as ``lease_ttl_s`` do not.
+    configuration attributes such as ``suspect_after_losses`` do not.
     """
 
     def __init__(self, target, lock):

@@ -249,13 +249,6 @@ class TestChunkPoints:
         got = chunk_points(points(*range(64)), jobs=2)
         assert all(len(c) == 8 for c in got)
 
-    def test_remote_only_daemon_still_chunks(self):
-        # jobs=0 (no local pool, remote workers only) must not divide
-        # by zero; it chunks as if feeding a small pool.
-        got = chunk_points(points(*range(20)), jobs=0)
-        assert [p for c in got for p in c] == points(*range(20))
-        assert all(1 <= len(c) <= 8 for c in got)
-
     def test_preserves_order_and_points(self):
         pts = points(*range(7))
         got = chunk_points(pts, jobs=4)
@@ -263,112 +256,10 @@ class TestChunkPoints:
         assert flat == pts
 
 
-# --- remote workers: leases, heartbeats, expiry ---------------------------
+# --- queue maintenance ----------------------------------------------------
 
 
-class TestWorkerRegistry:
-    def test_register_mints_unique_live_workers(self):
-        s = Scheduler()
-        a = s.register_worker(0.0, name="alpha", pid=101, host="h1")
-        b = s.register_worker(0.0, name="beta")
-        assert a.id != b.id
-        assert a.name == "alpha" and a.pid == 101 and a.host == "h1"
-        assert s.worker(a.id) is a
-        assert s.worker_states(0.0) == {a.id: "live", b.id: "live"}
-
-    def test_states_degrade_with_silence(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        assert s.worker_states(10.0)[w.id] == "live"
-        assert s.worker_states(11.0)[w.id] == "suspect"
-        assert s.worker_states(30.0)[w.id] == "suspect"
-        assert s.worker_states(31.0)[w.id] == "lost"
-
-    def test_touch_refreshes_and_rejects_unknown(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        assert s.touch_worker(w.id, 25.0) is True
-        assert s.worker_states(30.0)[w.id] == "live"
-        assert s.touch_worker("w99-dead", 0.0) is False
-
-
-class TestLeases:
-    def test_lease_checks_out_and_complete_settles(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        s.add(chunk(1, 2))
-        lease = s.lease(w.id, 1.0)
-        assert lease is not None
-        assert [p.params[0][1] for p in lease.chunk.points] == [1, 2]
-        assert s.leased == 2
-        assert s.next_chunk(1.0) is None  # checked out, not queued
-        settled = s.complete_lease(lease.id, 2.0)
-        assert settled is lease
-        assert s.leased == 0
-        assert w.leases_granted == 1 and w.leases_completed == 1
-
-    def test_lease_unknown_worker_or_empty_queue_is_none(self):
-        s = Scheduler()
-        assert s.lease("w99-dead", 0.0) is None
-        w = s.register_worker(0.0)
-        assert s.lease(w.id, 0.0) is None  # nothing queued
-
-    def test_heartbeat_extends_deadline(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        s.add(chunk(1))
-        lease = s.lease(w.id, 0.0)
-        assert s.heartbeat(lease.id, 9.0) is lease
-        assert s.expire_leases(15.0) == []  # alive past the original TTL
-        assert s.expire_leases(19.5) == [lease]
-
-    def test_expiry_requeues_with_blame_and_graduates(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        s.add(chunk(7))
-        first = s.lease(w.id, 0.0)
-        assert s.expire_leases(11.0) == [first]
-        assert w.leases_expired == 1
-        # First expiry retries through the normal queue...
-        second = s.lease(w.id, 12.0)
-        assert second is not None
-        assert s.expire_leases(23.0) == [second]
-        # ...the second conviction isolates the point.
-        assert s.next_chunk(24.0) is None
-        assert s.has_suspects
-        suspect = s.next_suspect()
-        assert suspect.points[0].params[0][1] == 7
-
-    def test_expired_multipoint_chunk_bisects(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        s.add(chunk(1, 2, 3, 4))
-        s.lease(w.id, 0.0)
-        s.expire_leases(11.0)
-        halves = drain_keys(s, now=12.0)
-        assert [len(h) for h in halves] == [2, 2]
-
-    def test_abandon_is_blame_free(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        s.add(chunk(5))
-        lease = s.lease(w.id, 0.0)
-        key = lease.chunk.points[0].key
-        assert s.abandon_lease(lease.id, 1.0) is lease
-        assert s.losses(key) == 0  # a drain is not a crash
-        assert w.leases_abandoned == 1
-        again = s.next_chunk(2.0)
-        assert again.points[0].key == key
-
-    def test_late_completion_is_rejected(self):
-        s = Scheduler(lease_ttl_s=10.0)
-        w = s.register_worker(0.0)
-        s.add(chunk(1))
-        lease = s.lease(w.id, 0.0)
-        s.expire_leases(11.0)
-        assert s.complete_lease(lease.id, 12.0) is None
-        assert s.abandon_lease(lease.id, 12.0) is None
-
+class TestQueueMaintenance:
     def test_prune_drops_only_matching_queued_chunks(self):
         s = Scheduler()
         s.add(chunk(1, 2, tenant="keep"))

@@ -8,27 +8,17 @@ which is what the bit-identical comparison test relies on.
 """
 
 import asyncio
-import base64
 import json
-import pickle
 import threading
 import time
 
 import pytest
 
 from repro.campaign import BackoffPolicy, SweepSpec, TaskPoint, run_campaign, task
-from repro.campaign.runtime import run_chunk
 from repro.obs.export import parse_metrics
 from repro.obs.stitch import build_trees
 from repro.obs.trace import read_trace
-from repro.serve import (
-    JobState,
-    LeaseGone,
-    ServiceDraining,
-    SweepService,
-    SweepWorker,
-    UnknownWorker,
-)
+from repro.serve import JobState, ServiceDraining, SweepService
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.models import advance, submission_to_spec, validate_tenant
 from repro.serve.server import ServeApp
@@ -234,6 +224,12 @@ class TestService:
         assert events[-1]["state"] == "done"
         assert [e["i"] for e in events] == list(range(len(events)))
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path):
+        # With no pool worker nothing would ever run a submitted point.
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            SweepService(jobs=jobs, cache_dir=tmp_path / "cache")
+
 
 # --- graceful shutdown ----------------------------------------------------
 
@@ -303,9 +299,8 @@ class TestDrain:
 class _Daemon:
     """ServeApp on a real socket, driven from a background event loop."""
 
-    def __init__(self, service, worker_token=None):
+    def __init__(self, service):
         self.service = service
-        self.worker_token = worker_token
         self.port = None
         self._loop = None
         self._stop = None
@@ -316,7 +311,7 @@ class _Daemon:
         asyncio.run(self._main())
 
     async def _main(self):
-        app = ServeApp(self.service, worker_token=self.worker_token)
+        app = ServeApp(self.service)
         server = await asyncio.start_server(app.handle, "127.0.0.1", 0)
         self.port = server.sockets[0].getsockname()[1]
         self._loop = asyncio.get_running_loop()
@@ -435,10 +430,6 @@ class TestObservability:
         assert samples[("serve_local_jobs", ())] == 1
         assert samples[("serve_uptime_seconds", ())] >= 0.0
         assert samples[("serve_queue_depth_points", ())] == 0
-        assert samples[("serve_leased_points", ())] == 0
-        # Remote-worker liveness: all three state series exist at zero.
-        for state in ("live", "suspect", "lost"):
-            assert samples[("serve_workers", (("state", state),))] == 0
 
     def test_metrics_served_over_http(self, service):
         job = service.submit(spec_of(range(2)), tenant="alice")
@@ -462,8 +453,6 @@ class TestObservability:
         assert workers["jobs"] == 1
         assert workers["mode"] == "inline"
         assert workers["pump_alive"] is True
-        assert workers["leased_points"] == 0
-        assert workers["remote"] == {}
         assert stats["queued_by_tenant"] == {}
         job = service.submit(spec_of(range(3)), tenant="alice")
         wait_terminal(service, job)
@@ -535,184 +524,13 @@ class TestObservability:
         assert any(n.name == "task.serve-slow" for n in root.walk())
 
 
-# --- remote workers: leases over the service API ---------------------------
-
-
-def work_once(service, registration):
-    """One faithful worker turn: lease -> run_chunk -> complete."""
-    out = service.worker_lease(registration["worker_id"])
-    lease = out["lease"]
-    if lease is None:
-        return False
-    points = [TaskPoint.make(p["kind"], **p["params"])
-              for p in lease["points"]]
-    context = (pickle.loads(base64.b64decode(lease["context_b64"]))
-               if lease["context_b64"] else {})
-    records, snapshot = run_chunk(points, context, lease["fingerprint"],
-                                  registration["retries"])
-    service.worker_complete(
-        registration["worker_id"], lease["id"],
-        [json.loads(r.to_json()) for r in records], snapshot,
-    )
-    return True
-
-
-class TestWorkerProtocol:
-    @pytest.fixture
-    def remote(self, tmp_path):
-        # jobs=0: no local pool at all - remote leases are the only way
-        # work leaves the queue.
-        svc = SweepService(jobs=0, cache_dir=tmp_path / "cache",
-                           lease_ttl_s=0.5).start()
-        yield svc
-        svc.stop(timeout=DEADLINE)
-
-    def test_register_lease_complete_runs_a_job(self, remote):
-        job = remote.submit(spec_of(range(4)), tenant="alice")
-        reg = remote.worker_register(name="unit", pid=123, host="here")
-        assert reg["lease_ttl_s"] == 0.5
-        assert reg["heartbeat_s"] < reg["lease_ttl_s"]
-        while work_once(remote, reg):
-            pass
-        assert remote.store.get(job.id).state is JobState.DONE
-        values = sorted(r["value"]["y"]
-                        for r in remote.job_records(job.id).values())
-        assert values == [0, 1, 4, 9]
-        counters = remote.stats()["counters"]
-        assert counters["serve.leases.granted"] == \
-            counters["serve.leases.completed"]
-        assert counters["serve.points.executed"] == 4
-        workers = remote.stats()["workers"]
-        assert workers["mode"] == "remote"
-        info = workers["remote"][reg["worker_id"]]
-        assert info["name"] == "unit" and info["state"] == "live"
-
-    def test_unknown_worker_and_lease_are_gone(self, remote):
-        with pytest.raises(UnknownWorker):
-            remote.worker_lease("w99-dead")
-        reg = remote.worker_register(name="unit")
-        with pytest.raises(LeaseGone):
-            remote.worker_heartbeat(reg["worker_id"], "l9999-dead")
-
-    def test_heartbeat_keeps_a_slow_chunk_alive(self, remote):
-        job = remote.submit(spec_of([5]))
-        reg = remote.worker_register(name="slowpoke")
-        lease = remote.worker_lease(reg["worker_id"])["lease"]
-        # Hold the lease well past its TTL, heartbeating like the
-        # runtime does; the reaper must leave it alone.
-        end = time.monotonic() + 3 * 0.5
-        while time.monotonic() < end:
-            beat = remote.worker_heartbeat(reg["worker_id"], lease["id"])
-            assert beat["lease_id"] == lease["id"]
-            time.sleep(0.1)
-        assert remote.stats()["counters"].get("serve.leases.expired", 0) == 0
-        points = [TaskPoint.make(p["kind"], **p["params"])
-                  for p in lease["points"]]
-        records, snapshot = run_chunk(points, {}, lease["fingerprint"], 0)
-        remote.worker_complete(reg["worker_id"], lease["id"],
-                               [json.loads(r.to_json()) for r in records],
-                               snapshot)
-        assert remote.store.get(job.id).state is JobState.DONE
-
-    def test_expired_lease_requeues_and_late_result_is_rejected(self, remote):
-        job = remote.submit(spec_of([7]))
-        reg = remote.worker_register(name="doomed")
-        lease = remote.worker_lease(reg["worker_id"])["lease"]
-        deadline = time.monotonic() + DEADLINE
-        while remote.stats()["counters"].get("serve.leases.expired", 0) < 1:
-            assert time.monotonic() < deadline, "lease never expired"
-            time.sleep(0.05)
-        # The silent worker wakes up late: its results must be dropped,
-        # not double-counted.
-        points = [TaskPoint.make(p["kind"], **p["params"])
-                  for p in lease["points"]]
-        records, snapshot = run_chunk(points, {}, lease["fingerprint"], 0)
-        with pytest.raises(LeaseGone):
-            remote.worker_complete(
-                reg["worker_id"], lease["id"],
-                [json.loads(r.to_json()) for r in records], snapshot)
-        counters = remote.stats()["counters"]
-        assert counters["serve.leases.rejected_late"] == 1
-        assert counters.get("serve.points.executed", 0) == 0
-        # The chunk is back in the queue; a healthy turn finishes the job.
-        while work_once(remote, reg):
-            pass
-        assert remote.store.get(job.id).state is JobState.DONE
-        assert remote.stats()["counters"]["serve.points.executed"] == 1
-
-    def test_abandon_requeues_blame_free(self, remote):
-        job = remote.submit(spec_of([3]))
-        reg = remote.worker_register(name="drainer")
-        lease = remote.worker_lease(reg["worker_id"])["lease"]
-        out = remote.worker_abandon(reg["worker_id"], lease["id"])
-        assert out["requeued"] == 1
-        assert remote.scheduler.losses(
-            TaskPoint.make("serve-square", x=3).key) == 0
-        while work_once(remote, reg):
-            pass
-        assert remote.store.get(job.id).state is JobState.DONE
-
-    def test_draining_service_starves_workers(self, remote):
-        reg = remote.worker_register(name="latecomer")
-        remote.submit(spec_of([1]))
-        remote.begin_drain()
-        out = remote.worker_lease(reg["worker_id"])
-        assert out["lease"] is None and out["draining"] is True
-        with pytest.raises(ServiceDraining):
-            remote.worker_register(name="too-late")
-
-
-class TestWorkerHttp:
-    def test_bad_tokens_rejected_and_counted(self, service):
-        with _Daemon(service, worker_token="sekrit") as daemon:
-            url = f"http://127.0.0.1:{daemon.port}"
-            anon = ServeClient(url)
-            with pytest.raises(ServeError) as unauthed:
-                anon.worker_register(name="anon")
-            assert unauthed.value.status == 401
-            with pytest.raises(ServeError) as wrong:
-                ServeClient(url, token="guess").worker_register(name="liar")
-            assert wrong.value.status == 401
-            # Tenant-facing routes stay open: the token guards workers only.
-            assert anon.healthz()["ok"] is True
-            reg = ServeClient(url, token="sekrit").worker_register(name="ok")
-            assert reg["worker_id"]
-        assert service.stats()["counters"]["serve.auth.rejected"] == 2
-
-    def test_worker_runtime_completes_a_job_over_http(self, tmp_path):
-        svc = SweepService(jobs=0, cache_dir=tmp_path / "cache").start()
-        try:
-            with _Daemon(svc, worker_token="sekrit") as daemon:
-                url = f"http://127.0.0.1:{daemon.port}"
-                job = svc.submit(spec_of(range(4), name="remote-sweep"))
-                worker = SweepWorker(url, token="sekrit", name="itest",
-                                     poll_s=0.05, max_chunks=4,
-                                     echo=lambda *a: None)
-                assert worker.run() == 0
-                assert worker.points_done == 4
-                wait_terminal(svc, job)
-                assert svc.store.get(job.id).state is JobState.DONE
-                values = sorted(r["value"]["y"]
-                                for r in svc.job_records(job.id).values())
-                assert values == [0, 1, 4, 9]
-        finally:
-            svc.stop(timeout=DEADLINE)
-
-    def test_worker_with_bad_token_exits_nonzero(self, service):
-        with _Daemon(service, worker_token="sekrit") as daemon:
-            url = f"http://127.0.0.1:{daemon.port}"
-            worker = SweepWorker(url, token="wrong", name="reject",
-                                 echo=lambda *a: None)
-            assert worker.run() == 1
-
-
 # --- the durable job log: kill -9 the daemon, jobs survive -----------------
 
 
 class TestRecovery:
     def test_restart_replays_unfinished_jobs(self, tmp_path):
         cache = tmp_path / "cache"
-        first = SweepService(jobs=0, cache_dir=cache)  # never pumps
+        first = SweepService(jobs=1, cache_dir=cache)  # never started
         job = first.submit(spec_of(range(3)), tenant="alice")
         assert first.store.get(job.id).state is JobState.QUEUED
         # No drain, no stop: the daemon is gone as if SIGKILLed.
@@ -729,11 +547,11 @@ class TestRecovery:
 
     def test_replay_skips_terminals_and_duplicates_no_compute(self, tmp_path):
         cache = tmp_path / "cache"
-        first = SweepService(jobs=0, cache_dir=cache)
+        first = SweepService(jobs=1, cache_dir=cache)
         done = first.submit(spec_of(range(3), name="done-before-crash"))
-        reg = first.worker_register(name="w")
-        while work_once(first, reg):
-            pass
+        # The one-shot pump (no idle wait) on this thread: it runs what is
+        # queued now, and nothing submitted after it returns.
+        first.core.pump(first.scheduler, lambda: False)
         assert first.store.get(done.id).state is JobState.DONE
         partial = first.submit(spec_of(range(5), name="half-cached"))
         assert partial.cache_hits == 3
@@ -758,7 +576,7 @@ class TestRecovery:
 
     def test_corrupt_log_lines_are_counted_not_fatal(self, tmp_path):
         cache = tmp_path / "cache"
-        first = SweepService(jobs=0, cache_dir=cache)
+        first = SweepService(jobs=1, cache_dir=cache)
         job = first.submit(spec_of([1, 2]))
         log_path = cache / "serve" / "jobs" / "submissions.ndjson"
         with open(log_path, "a", encoding="utf-8") as fh:
@@ -777,7 +595,7 @@ class TestRecovery:
     def test_undecodable_entry_marked_terminal_not_replayed_forever(
             self, tmp_path):
         cache = tmp_path / "cache"
-        first = SweepService(jobs=0, cache_dir=cache)
+        first = SweepService(jobs=1, cache_dir=cache)
         first.submit(spec_of([4]))
         log_path = cache / "serve" / "jobs" / "submissions.ndjson"
         with open(log_path, "a", encoding="utf-8") as fh:
@@ -804,7 +622,7 @@ class TestRecovery:
 class TestCancelBeforeDispatch:
     def test_cancel_queued_job_records_terminal_and_prunes(self, tmp_path):
         cache = tmp_path / "cache"
-        svc = SweepService(jobs=0, cache_dir=cache)  # nothing dispatches
+        svc = SweepService(jobs=1, cache_dir=cache)  # never started
         job = svc.submit(spec_of(range(3)))
         cancelled = svc.cancel(job.id)
         assert cancelled.state is JobState.CANCELLED
@@ -821,23 +639,22 @@ class TestCancelBeforeDispatch:
             again.stop(timeout=DEADLINE)
 
     def test_cancel_interrupted_job_on_drained_daemon(self, tmp_path):
-        svc = SweepService(jobs=0, cache_dir=tmp_path / "cache").start()
+        svc = SweepService(jobs=1, cache_dir=tmp_path / "cache")
         job = svc.submit(spec_of([6]))
         svc.drain(timeout=DEADLINE)
         assert svc.store.get(job.id).state is JobState.INTERRUPTED
         assert svc.cancel(job.id).state is JobState.CANCELLED
 
     def test_cancel_spares_chunks_other_jobs_still_want(self, tmp_path):
-        svc = SweepService(jobs=0, cache_dir=tmp_path / "cache")
+        svc = SweepService(jobs=1, cache_dir=tmp_path / "cache")
         mine = svc.submit(spec_of([1, 2]), tenant="alice")
         svc.submit(spec_of([2, 3]), tenant="bob")  # shares x=2
         svc.cancel(mine.id)
-        reg = svc.worker_register(name="probe")
-        leased = []
-        out = svc.worker_lease(reg["worker_id"])
-        while out["lease"] is not None:
-            leased.extend(p["params"]["x"] for p in out["lease"]["points"])
-            out = svc.worker_lease(reg["worker_id"])
+        leased = []  # every point the scheduler still dispatches
+        chunk = svc.scheduler.next_chunk()
+        while chunk is not None:
+            leased.extend(p.as_dict()["x"] for p in chunk.points)
+            chunk = svc.scheduler.next_chunk()
         assert sorted(leased) == [2, 3]  # x=1 pruned, x=2 survives for bob
 
 

@@ -403,11 +403,19 @@ def _argsort_buckets(scores, buckets):
 _TIED = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
 
 
+@pytest.fixture(scope="module", params=[17, 20, 21, 36, 41])
+def macro_1m_scores(request):
+    """Skew scores of one 16384 x 64 bank under a mismatch seed of the
+    ``macro-1m`` benchmark workload."""
+    spec = MacroSpec(words=16384, bits=64, banks=1, seed=request.param)
+    return VariationStream(spec, 0).scores
+
+
 class TestRankSelection:
     """``rank_buckets`` against the stable-argsort split it replaces.
 
-    ``np.partition`` dispatches to a SIMD select on AVX2/AVX-512 hosts, so
-    CI reruns this class with every numpy SIMD target off.
+    ``np.sort`` dispatches to SIMD kernels on AVX2/AVX-512 hosts, so CI
+    reruns this class with every numpy SIMD target off.
     """
 
     @staticmethod
@@ -429,6 +437,28 @@ class TestRankSelection:
     def test_normal_draw_matches_stable_argsort(self, buckets):
         scores = np.random.default_rng(43).standard_normal(4096)
         self._check(scores, buckets)
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 97])
+    @pytest.mark.parametrize("buckets", [4, 64, 4095, 4096])
+    def test_repeated_and_signed_zero_scores_up_to_one_bucket_per_cell(
+            self, monkeypatch, buckets, chunk):
+        """Tie groups of every size, normals between them, and -0.0 beside
+        0.0, placed in one ``searchsorted`` chunk or in 43; one bucket per
+        cell used to cost two passes over the scores per bucket."""
+        rng = np.random.default_rng(44)
+        scores = np.round(rng.standard_normal(4096), 2)  # small tie groups
+        tied = rng.random(4096) < 0.3
+        scores[tied] = rng.integers(-3, 4, tied.sum()) * 0.5  # large ones
+        zeros = rng.random(4096) < 0.1
+        scores[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+        monkeypatch.setattr(drv_module, "_RANK_CHUNK", chunk)
+        self._check(scores, buckets)
+
+    @pytest.mark.parametrize("buckets", [1, 4, 16, 64])
+    def test_macro_1m_realisations_match_stable_argsort(
+            self, macro_1m_scores, buckets):
+        """The benchmark's 1M-cell banks."""
+        self._check(macro_1m_scores, buckets)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60))

@@ -24,6 +24,9 @@ engine with caching, crash recovery and graceful interrupts),
 :mod:`repro.obs` (telemetry), :mod:`repro.watchdog` (per-task deadlines)
 and :mod:`repro.chaos` (deterministic fault injection).
 
+The public names are re-exported lazily (PEP 562): ``import repro`` loads
+no layer, and each name loads its own layer when first read.
+
 Quickstart::
 
     from repro import march_m_lz, DRFScenario, PVT, VrefSelect, CellVariation
@@ -40,30 +43,34 @@ Quickstart::
     print(result)  # FAIL -> the defect is detected
 """
 
-from .cell import drv_ds, drv_ds0, drv_ds1, snm_ds, worst_case_drv
-from .core import (
-    DRFScenario,
-    DRF_DS,
-    MethodologyReport,
-    RetentionTestMethodology,
-    TestConfig,
-    TestFlow,
-    all_test_configs,
-    build_detection_matrix,
-    optimize_flow,
-    paper_flow,
-)
-from .devices import PVT, CellVariation, paper_pvt_grid
-from .march import (
-    march_c_minus,
-    march_lz,
-    march_m_lz,
-    march_ss,
-    mats_plus,
-    run_march,
-)
-from .regulator import DEFECTS, VrefSelect, solve_regulator
-from .sram import LowPowerSRAM, PowerMode, SRAMConfig
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cell": ("drv_ds", "drv_ds0", "drv_ds1", "snm_ds", "worst_case_drv"),
+    ".core": (
+        "DRFScenario",
+        "DRF_DS",
+        "MethodologyReport",
+        "RetentionTestMethodology",
+        "TestConfig",
+        "TestFlow",
+        "all_test_configs",
+        "build_detection_matrix",
+        "optimize_flow",
+        "paper_flow",
+    ),
+    ".devices": ("PVT", "CellVariation", "paper_pvt_grid"),
+    ".march": (
+        "march_c_minus",
+        "march_lz",
+        "march_m_lz",
+        "march_ss",
+        "mats_plus",
+        "run_march",
+    ),
+    ".regulator": ("DEFECTS", "VrefSelect", "solve_regulator"),
+    ".sram": ("LowPowerSRAM", "PowerMode", "SRAMConfig"),
+})
 
 __version__ = "1.0.0"
 

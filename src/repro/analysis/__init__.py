@@ -14,55 +14,64 @@ Every driver returns plain dataclasses and offers a ``render()`` for the
 paper-style text table, so benchmarks and examples share one code path.
 """
 
-from .case_studies import CASE_STUDIES, CaseStudy, render_table1, table1_rows
-from .ds_time import DsTimeResult, ds_time_sweep, render_ds_time
-from .figure4 import (
-    Figure4Point,
-    figure4_spec,
-    figure4_sweep,
-    render_figure4,
-    run_figure4_campaign,
-)
-from .macro import (
-    MacroBankRow,
-    MacroSummary,
-    macro_spec,
-    render_macro,
-    run_macro_campaign,
-)
-from .montecarlo import (
-    MonteCarloResult,
-    drv_distribution,
-    montecarlo_spec,
-    render_montecarlo,
-    run_montecarlo_campaign,
-)
-from .power_savings import PowerComparison, power_comparison, render_power
-from .table2 import (
-    Table2Row,
-    render_table2,
-    run_table2_campaign,
-    table2_rows,
-    table2_spec,
-)
-from .transient_validation import (
-    ValidationPoint,
-    gate_settling_comparison,
-    max_relative_error,
-    rail_discharge_comparison,
-)
-from .table3 import (
-    detection_matrix_spec,
-    render_table3,
-    run_table3_campaign,
-    table3_flow,
-)
-from .tap_tradeoff import (
-    TapOperatingPoint,
-    recommended_tap,
-    render_tap_tradeoff,
-    tap_tradeoff,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".case_studies": (
+        "CASE_STUDIES",
+        "CaseStudy",
+        "render_table1",
+        "table1_rows",
+    ),
+    ".ds_time": ("DsTimeResult", "ds_time_sweep", "render_ds_time"),
+    ".figure4": (
+        "Figure4Point",
+        "figure4_spec",
+        "figure4_sweep",
+        "render_figure4",
+        "run_figure4_campaign",
+    ),
+    ".macro": (
+        "MacroBankRow",
+        "MacroSummary",
+        "macro_spec",
+        "render_macro",
+        "run_macro_campaign",
+    ),
+    ".montecarlo": (
+        "MonteCarloResult",
+        "drv_distribution",
+        "montecarlo_spec",
+        "render_montecarlo",
+        "run_montecarlo_campaign",
+    ),
+    ".power_savings": ("PowerComparison", "power_comparison", "render_power"),
+    ".table2": (
+        "Table2Row",
+        "render_table2",
+        "run_table2_campaign",
+        "table2_rows",
+        "table2_spec",
+    ),
+    ".transient_validation": (
+        "ValidationPoint",
+        "gate_settling_comparison",
+        "max_relative_error",
+        "rail_discharge_comparison",
+    ),
+    ".table3": (
+        "detection_matrix_spec",
+        "render_table3",
+        "run_table3_campaign",
+        "table3_flow",
+    ),
+    ".tap_tradeoff": (
+        "TapOperatingPoint",
+        "recommended_tap",
+        "render_tap_tradeoff",
+        "tap_tradeoff",
+    ),
+})
 
 __all__ = [
     "CaseStudy",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..devices.pvt import PVT, paper_pvt_grid
+from ..devices.pvt import PVT
 from ..regulator.characterize import min_resistance_for_drf
 from ..regulator.defects import DEFECTS, DRF_IDS
 from ..regulator.design import DEFAULT_REGULATOR, RegulatorDesign, VrefSelect
@@ -36,14 +36,7 @@ from ..core.reporting import render_table, resistance_cell
 from ..campaign import CampaignResult, SweepSpec, TaskPoint, run_campaign
 from ..campaign.memo import case_drv
 from .case_studies import CaseStudy, case_study
-
-#: Default reduced grid covering the paper's arg-min conditions.
-DEFAULT_TABLE2_GRID = tuple(
-    paper_pvt_grid(corners=("fs", "sf"), temps=(-30.0, 125.0))
-)
-
-#: Case-study families of Table II's columns (the -1 flavour of each).
-FAMILIES = ("CS1-1", "CS2-1", "CS3-1", "CS4-1", "CS5-1")
+from .table2_grid import DEFAULT_TABLE2_GRID, FAMILIES
 
 
 def vrefsel_for_vdd(vdd: float) -> VrefSelect:

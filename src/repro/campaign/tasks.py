@@ -68,14 +68,16 @@ def code_digest(kind: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _design_and_cell(context: Dict[str, Any]):
+def _cell(context: Dict[str, Any]):
     from ..cell.design import DEFAULT_CELL
+
+    return context.get("cell", DEFAULT_CELL)
+
+
+def _design_and_cell(context: Dict[str, Any]):
     from ..regulator.design import DEFAULT_REGULATOR
 
-    return (
-        context.get("design", DEFAULT_REGULATOR),
-        context.get("cell", DEFAULT_CELL),
-    )
+    return context.get("design", DEFAULT_REGULATOR), _cell(context)
 
 
 @task("table2-cell")
@@ -132,7 +134,7 @@ def figure4_point(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str, 
     from ..devices.pvt import PVT
     from ..devices.variation import CellVariation
 
-    _design, cell = _design_and_cell(context)
+    cell = _cell(context)
     variation = CellVariation.single(params["transistor"], params["sigma"])
     grid = [PVT(c, v, t) for (c, v, t) in params["grid"]]
     # One drv_ds_pair per grid point, not one kernel call for the grid: the
@@ -160,7 +162,7 @@ def macro_bank(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str, Any
     from .. import obs
     from ..sram.macro import MacroSpec, bank_escape_summary
 
-    _design, cell = _design_and_cell(context)
+    cell = _cell(context)
     spec = MacroSpec(
         words=params["words"], bits=params["bits"],
         banks=params["banks"], seed=params["seed"],
@@ -212,7 +214,7 @@ def mc_shard(params: Dict[str, Any], context: Dict[str, Any]) -> Dict[str, Any]:
     from ..cell.drv import drv_ds_cells
     from ..devices.variation import CellVariation
 
-    _design, cell = _design_and_cell(context)
+    cell = _cell(context)
     rng = np.random.default_rng([params["seed"], params["shard"]])
     variations = [CellVariation.sample(rng) for _ in range(params["n_samples"])]
     samples = drv_ds_cells(variations, params["corner"], params["temp_c"], cell)

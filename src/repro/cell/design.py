@@ -15,12 +15,14 @@ pull-down : pass : pull-up = 3 : 2 : 1.5 (in units of minimum width) on a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from ..devices.corners import Corner, get_corner
 from ..devices.mosfet import MosfetModel, MosfetParams, nmos_params, pmos_params
 from ..devices.variation import SIGMA_VTH, CellVariation
-from ..spice import Circuit
+
+if TYPE_CHECKING:
+    from ..spice import Circuit
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ class CellDesign:
         ``vddc``.  Used by integration tests to cross-check the vectorised
         VTC/SNM machinery against the general-purpose solver.
         """
+        from ..spice import Circuit
+
         models = self.models(variation, corner, temp_c)
         circuit = Circuit(f"6T hold @ {vdd_cell:.3f}V")
         circuit.vsource("vddc", "vddc", "0", vdd_cell)

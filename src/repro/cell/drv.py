@@ -15,6 +15,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+# np.unique reads np.ma.is_masked: load numpy.ma with this module, not
+# inside the first rank_buckets call.
+import numpy.ma  # noqa: F401
 
 from .. import obs
 from ..devices.pvt import PVT, corner_temp_grid

@@ -13,27 +13,36 @@
   tables and figures.
 """
 
-from .diagnosis import Candidate, DiagnosisResult, diagnose, syndrome_for
-from .drf import DRFScenario, DRF_DS
-from .escape import (
-    EscapeReport,
-    LogUniformResistance,
-    compare_flows,
-    escape_report,
-    flow_escape_summary,
-)
-from .methodology import MethodologyReport, RetentionTestMethodology
-from .testflow import (
-    DetectionMatrix,
-    TestConfig,
-    TestFlow,
-    TestIteration,
-    all_test_configs,
-    build_detection_matrix,
-    optimize_flow,
-    paper_flow,
-)
-from .reporting import render_table
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnosis": (
+        "Candidate",
+        "DiagnosisResult",
+        "diagnose",
+        "syndrome_for",
+    ),
+    ".drf": ("DRFScenario", "DRF_DS"),
+    ".escape": (
+        "EscapeReport",
+        "LogUniformResistance",
+        "compare_flows",
+        "escape_report",
+        "flow_escape_summary",
+    ),
+    ".methodology": ("MethodologyReport", "RetentionTestMethodology"),
+    ".testflow": (
+        "DetectionMatrix",
+        "TestConfig",
+        "TestFlow",
+        "TestIteration",
+        "all_test_configs",
+        "build_detection_matrix",
+        "optimize_flow",
+        "paper_flow",
+    ),
+    ".reporting": ("render_table",),
+})
 
 __all__ = [
     "DRF_DS",

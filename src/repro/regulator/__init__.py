@@ -21,21 +21,25 @@ finds, per defect and retention scenario, the minimal resistance causing a
 data retention fault - reproducing Table II.
 """
 
-from .characterize import (
-    CharacterizationResult,
-    classify_defect,
-    min_resistance_for_drf,
-    vreg_curve,
-)
-from .defects import DEFECT_IDS, DEFECTS, DefectCategory, DefectSite
-from .design import RegulatorDesign, VREF_TAPS, VrefSelect
-from .netlist import (
-    RegulatorOperatingPoint,
-    RegulatorSession,
-    build_regulator,
-    solve_regulator,
-)
-from .load import ArrayLoad, LeakageTable
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".characterize": (
+        "CharacterizationResult",
+        "classify_defect",
+        "min_resistance_for_drf",
+        "vreg_curve",
+    ),
+    ".defects": ("DEFECT_IDS", "DEFECTS", "DefectCategory", "DefectSite"),
+    ".design": ("RegulatorDesign", "VREF_TAPS", "VrefSelect"),
+    ".netlist": (
+        "RegulatorOperatingPoint",
+        "RegulatorSession",
+        "build_regulator",
+        "solve_regulator",
+    ),
+    ".load": ("ArrayLoad", "LeakageTable"),
+})
 
 __all__ = [
     "RegulatorDesign",

@@ -22,35 +22,42 @@ Public API
 :func:`default_backend`, :func:`set_default_backend`, :func:`using_backend`
     Assembly-backend selection (``"compiled"`` vs the ``"reference"``
     per-element stamp oracle).
+
+Every name is re-exported lazily: its submodule loads when the name is
+first read.  The backend selection and :class:`ConvergenceError` come from
+:mod:`repro.spice.contract`, which loads no solver, so campaign set-up and
+the cell, macro and service paths never import :mod:`repro.spice.dc`.
 """
 
-from .circuit import Circuit
-from .elements import (
-    Capacitor,
-    CurrentSource,
-    Element,
-    Mosfet,
-    Resistor,
-    VoltageSource,
-)
-from .dc import (
-    BACKENDS,
-    ConvergenceError,
-    Solution,
-    dc_sweep,
-    default_backend,
-    set_default_backend,
-    solve_dc,
-    using_backend,
-)
-from .compiled import CompiledCircuit, compiled_plan
-from .sources import (
-    PiecewiseLinearVoltageSource,
-    PulseVoltageSource,
-    VoltageControlledVoltageSource,
-)
-from .sweep import SweepSession, log_bisect, solve_dc_batch
-from .transient import TransientResult, solve_transient
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".circuit": ("Circuit",),
+    ".elements": (
+        "Capacitor",
+        "CurrentSource",
+        "Element",
+        "Mosfet",
+        "Resistor",
+        "VoltageSource",
+    ),
+    ".contract": (
+        "BACKENDS",
+        "ConvergenceError",
+        "default_backend",
+        "set_default_backend",
+        "using_backend",
+    ),
+    ".dc": ("Solution", "dc_sweep", "solve_dc"),
+    ".compiled": ("CompiledCircuit", "compiled_plan"),
+    ".sources": (
+        "PiecewiseLinearVoltageSource",
+        "PulseVoltageSource",
+        "VoltageControlledVoltageSource",
+    ),
+    ".sweep": ("SweepSession", "log_bisect", "solve_dc_batch"),
+    ".transient": ("TransientResult", "solve_transient"),
+})
 
 __all__ = [
     "BACKENDS",

@@ -38,112 +38,52 @@ default so resumed sweeps never mix results from different assemblers.
 
 Both take ``jacobian=False`` for a residual-only assembly whose residual
 has the same bits as the full one's.  Both produce a dense Jacobian and
-share one linear step, :func:`_dense_solve`: scipy's LAPACK ``dgesv`` when
-scipy is importable, ``np.linalg.solve`` otherwise (``numpy`` is the only
-declared dependency).
+share one linear step, :func:`_dense_solve`: ``np.linalg.solve`` (LAPACK
+``gesv``) on the 4-16 unknown systems here.
+
+The backend registry and :class:`ConvergenceError` live in
+:mod:`repro.spice.contract`, which loads no solver; this module re-exports
+them.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import Circuit
+from .compiled import compiled_plan
+from .contract import (
+    BACKENDS,
+    ConvergenceError,
+    _resolve_backend,
+    default_backend,
+    set_default_backend,
+    using_backend,
+)
 from .elements import StampContext, VoltageSource
 from .. import obs, watchdog
 
-try:
-    # Direct LAPACK entry: for the 4-15 unknown systems here the
-    # ``np.linalg.solve`` wrapper overhead (type promotion, error-state
-    # handling) costs more than the factorisation itself.
-    from scipy.linalg.lapack import dgesv as _lapack_dgesv
-except ImportError:  # pragma: no cover - numpy-only installs
-    _lapack_dgesv = None
+__all__ = [
+    "BACKENDS",
+    "ConvergenceError",
+    "Solution",
+    "dc_sweep",
+    "default_backend",
+    "set_default_backend",
+    "solve_dc",
+    "using_backend",
+]
 
 
 def _dense_solve(jacobian: np.ndarray, neg_residual: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``J dx = -r``; ``None`` on a singular matrix.
-
-    ``neg_residual`` must be an owned buffer: the LAPACK path solves in
-    place and returns it.
-    """
-    if _lapack_dgesv is not None:
-        _, _, dx, info = _lapack_dgesv(jacobian, neg_residual, overwrite_b=1)
-        return dx if info == 0 else None
+    """Solve ``J dx = -r``; ``None`` on a singular matrix."""
     try:
         return np.linalg.solve(jacobian, neg_residual)
     except np.linalg.LinAlgError:
         return None
-
-
-#: Registered assembly backends: ``compiled`` (production) and
-#: ``reference`` (the oracle ``repro verify --fuzz`` checks it against).
-BACKENDS = ("compiled", "reference")
-
-_default_backend: Optional[str] = None
-
-
-def _validate_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown spice backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
-
-def default_backend() -> str:
-    """The process-wide assembly backend.
-
-    Resolution order: :func:`set_default_backend` / :func:`using_backend`,
-    then the ``REPRO_SPICE_BACKEND`` environment variable, then
-    ``"compiled"``.
-    """
-    if _default_backend is not None:
-        return _default_backend
-    env = os.environ.get("REPRO_SPICE_BACKEND", "").strip()
-    if env:
-        return _validate_backend(env)
-    return "compiled"
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set (or with ``None`` reset) the process-wide assembly backend."""
-    global _default_backend
-    _default_backend = None if backend is None else _validate_backend(backend)
-
-
-@contextlib.contextmanager
-def using_backend(backend: str) -> Iterator[None]:
-    """Run a block under a specific assembly backend."""
-    global _default_backend
-    previous = _default_backend
-    _default_backend = _validate_backend(backend)
-    try:
-        yield
-    finally:
-        _default_backend = previous
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    return default_backend() if backend is None else _validate_backend(backend)
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when all Newton continuation strategies fail.
-
-    ``context`` carries the machine-readable failure trail (strategy names,
-    gmin level, iteration counts at failure); the message embeds the same
-    information so a recorded campaign failure is diagnosable from the
-    cache/trace JSONL alone.
-    """
-
-    def __init__(self, message: str, context: Optional[Dict[str, Any]] = None):
-        super().__init__(message)
-        self.context: Dict[str, Any] = dict(context or {})
 
 
 class Solution:
@@ -230,8 +170,6 @@ def _make_assembler(
             return _assemble(circuit, x, gmin, source_scale, dt, x_prev, jacobian)
 
         return assemble, lambda: None
-    from .compiled import compiled_plan
-
     plan = compiled_plan(circuit)
     plan.refresh()
     return plan.assemble, plan.refresh
@@ -305,20 +243,18 @@ def _newton(
     residual, jacobian = assembler(x, gmin, source_scale, dt, x_prev)
     norm = float(np.sqrt(np.dot(residual, residual)))
     best = [norm]  # best[k]: lowest norm after k iterations
-    rhs = np.empty_like(x)  # owned rhs/solution buffer for _dense_solve
     for iteration in range(max_iter):
         # Campaign deadline enforcement: a single None comparison when no
         # deadline is armed, a DeadlineExceeded (which is NOT a
         # ConvergenceError, so no fallback strategy can swallow it) when
         # the task has outlived its budget mid-solve.
         watchdog.check()
-        np.negative(residual, out=rhs)
         if timer is not None:
             t0 = time.perf_counter()
-            dx = _dense_solve(jacobian, rhs)
+            dx = _dense_solve(jacobian, -residual)
             timer.factor_s += time.perf_counter() - t0
         else:
-            dx = _dense_solve(jacobian, rhs)
+            dx = _dense_solve(jacobian, -residual)
         if dx is None or not np.isfinite(dx).all():
             return None, iteration, False
         # Clip voltage updates (branch-current updates are left free).

@@ -34,13 +34,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import Circuit
-from .dc import (
-    ConvergenceError,
-    Solution,
-    _assign_branch_indices,
-    _resolve_backend,
-    solve_dc,
-)
+from .contract import _resolve_backend
+from .dc import Solution, _assign_branch_indices, solve_dc
 from .elements import VoltageSource
 from .. import obs, watchdog
 

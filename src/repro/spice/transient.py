@@ -14,13 +14,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .circuit import Circuit
+from .contract import ConvergenceError, _resolve_backend
 from .dc import (
-    ConvergenceError,
     Solution,
     _assign_branch_indices,
     _make_assembler,
     _newton,
-    _resolve_backend,
     _SolveTimer,
     solve_dc,
 )

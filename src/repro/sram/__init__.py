@@ -16,29 +16,37 @@ sleep is decided by comparing the regulator's VDD_CC against each weak
 cell's DRV with the flip-time model of :mod:`repro.cell.retention`.
 """
 
-from .decoder import AddressDecoder, DecoderFault
-from .faults import (
-    CouplingFaultIdempotent,
-    CouplingFaultState,
-    DataRetentionFault,
-    Fault,
-    PeripheralPowerGatingFault,
-    StuckAtFault,
-    TransitionFault,
-    UnvectorizedFaultError,
-    drf_ds_variants,
-)
-from .macro import (
-    MacroSpec,
-    bank_escape_summary,
-    macro_retention,
-    macro_sram,
-)
-from .memory import LowPowerSRAM, MemoryModeError, SRAMConfig
-from .power_modes import PMControl, PowerMode
-from .power_switches import PowerSwitchNetwork
-from .power_model import PowerReport, static_power
-from .retention_engine import ArrayRetentionEngine, RetentionEngine, WeakCell
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".decoder": ("AddressDecoder", "DecoderFault"),
+    ".faults": (
+        "CouplingFaultIdempotent",
+        "CouplingFaultState",
+        "DataRetentionFault",
+        "Fault",
+        "PeripheralPowerGatingFault",
+        "StuckAtFault",
+        "TransitionFault",
+        "UnvectorizedFaultError",
+        "drf_ds_variants",
+    ),
+    ".macro": (
+        "MacroSpec",
+        "bank_escape_summary",
+        "macro_retention",
+        "macro_sram",
+    ),
+    ".memory": ("LowPowerSRAM", "MemoryModeError", "SRAMConfig"),
+    ".power_modes": ("PMControl", "PowerMode"),
+    ".power_switches": ("PowerSwitchNetwork",),
+    ".power_model": ("PowerReport", "static_power"),
+    ".retention_engine": (
+        "ArrayRetentionEngine",
+        "RetentionEngine",
+        "WeakCell",
+    ),
+})
 
 __all__ = [
     "LowPowerSRAM",

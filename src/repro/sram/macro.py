@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..cell.design import DEFAULT_CELL, CellDesign
 from ..cell.drv import drv_ds_pair_map, skew_scores
@@ -143,7 +144,7 @@ class MacroSpec:
         ``resume=(word, state)`` starts at a saved chunk instead of word 0.
         """
         self._check_bank(bank)
-        rng = np.random.default_rng(
+        rng = default_rng(
             [MACRO_STREAM, self.seed, self.words, self.bits, self.banks, bank]
         )
         word = 0

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
+from .decoder import AddressDecoder
 from .faults import Fault, PeripheralPowerGatingFault
 from .power_modes import PMControl, PowerMode
 from .retention_engine import RetentionEngine
@@ -64,17 +66,15 @@ class LowPowerSRAM:
         self,
         config: SRAMConfig = SRAMConfig(),
         retention: Optional[RetentionEngine] = None,
-        rng: Optional[np.random.Generator] = None,
-        decoder: Optional["AddressDecoder"] = None,
+        rng: Optional[Generator] = None,
+        decoder: Optional[AddressDecoder] = None,
     ) -> None:
-        from .decoder import AddressDecoder
-
         self.config = config
         self.retention = retention or RetentionEngine()
         self.decoder = decoder or AddressDecoder(config.n_words)
         self.pm = PMControl()
         self.faults: List[Fault] = []
-        self._rng = rng or np.random.default_rng(0)
+        self._rng = rng or default_rng(0)
         self._bits = np.zeros((config.n_words, config.word_bits), dtype=np.uint8)
         self._data_valid = True
         self._ds_supply: Optional[float] = None

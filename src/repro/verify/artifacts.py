@@ -89,7 +89,7 @@ class TierScope:
 
 def scope_for(tier: str) -> TierScope:
     from ..analysis.figure4 import DEFAULT_SIGMAS
-    from ..analysis.table2 import DEFAULT_TABLE2_GRID, FAMILIES
+    from ..analysis.table2_grid import DEFAULT_TABLE2_GRID, FAMILIES
     from ..devices.variation import CELL_TRANSISTORS
     from ..regulator.defects import DRF_IDS
 

@@ -14,11 +14,6 @@ compiled backend must conform to it exactly:
   nodes, current-source-only nodes) are rescued by the gmin shunt and
   converge to the same operating point on every backend - the suite pins
   that they converge rather than assuming they fail.
-
-Besides the registry backends, every case also runs as ``NUMPY_ONLY``:
-the compiled backend with scipy's LAPACK fast path masked, so the
-``np.linalg.solve`` fallback a numpy-only install takes is held to the
-same contract.
 """
 
 import numpy as np
@@ -31,14 +26,7 @@ from repro.spice import (
     solve_dc,
     solve_dc_batch,
 )
-from repro.spice import dc as spice_dc
 from repro.verify.tolerances import DC_BACKEND_AGREEMENT_V
-
-#: The compiled backend solving through ``np.linalg.solve`` (no scipy).
-NUMPY_ONLY = "compiled-numpy-only"
-
-#: Every linear-solve path a singular netlist can meet.
-SOLVERS = (*BACKENDS, NUMPY_ONLY)
 
 
 def _conflicting_vsources():
@@ -99,28 +87,23 @@ def _isource_node():
     return circuit
 
 
-def _solve(make_circuit, solver, monkeypatch):
-    with monkeypatch.context() as patch:
-        backend = solver
-        if solver == NUMPY_ONLY:
-            patch.setattr(spice_dc, "_lapack_dgesv", None)
-            backend = "compiled"
-        return solve_dc(make_circuit(), backend=backend)
+def _solve(make_circuit, backend):
+    return solve_dc(make_circuit(), backend=backend)
 
 
 class TestExactlySingular:
     """Rank-deficient netlists exhaust the strategy chain identically."""
 
-    @pytest.mark.parametrize("backend", SOLVERS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
         "make_circuit", [_conflicting_vsources, _redundant_vsources],
         ids=["conflicting", "redundant"],
     )
     def test_raises_convergence_error_with_strategy_trail(
-        self, make_circuit, backend, monkeypatch
+        self, make_circuit, backend
     ):
         with pytest.raises(ConvergenceError) as excinfo:
-            _solve(make_circuit, backend, monkeypatch)
+            _solve(make_circuit, backend)
         error = excinfo.value
         strategies = error.context.get("strategies")
         assert strategies, "failure must carry the machine-readable trail"
@@ -136,13 +119,11 @@ class TestExactlySingular:
         "make_circuit", [_conflicting_vsources, _redundant_vsources],
         ids=["conflicting", "redundant"],
     )
-    def test_failure_trail_is_identical_across_backends(
-        self, make_circuit, monkeypatch
-    ):
+    def test_failure_trail_is_identical_across_backends(self, make_circuit):
         trails = {}
-        for backend in SOLVERS:
+        for backend in BACKENDS:
             with pytest.raises(ConvergenceError) as excinfo:
-                _solve(make_circuit, backend, monkeypatch)
+                _solve(make_circuit, backend)
             trails[backend] = excinfo.value.context["strategies"]
         reference = trails["reference"]
         for backend, trail in trails.items():
@@ -150,11 +131,11 @@ class TestExactlySingular:
                 f"{backend} diverged from the pinned reference trail"
             )
 
-    @pytest.mark.parametrize("backend", SOLVERS)
-    def test_no_raw_linear_algebra_exceptions(self, backend, monkeypatch):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_raw_linear_algebra_exceptions(self, backend):
         """No LinAlgError may escape, from LAPACK or from numpy."""
         try:
-            _solve(_conflicting_vsources, backend, monkeypatch)
+            _solve(_conflicting_vsources, backend)
         except ConvergenceError:
             pass
         # Any other exception type propagates and fails the test.
@@ -176,12 +157,10 @@ class TestGminRescued:
         "make_circuit", [_floating_node, _isource_node],
         ids=["floating-node", "isource-node"],
     )
-    def test_all_backends_converge_to_the_same_point(
-        self, make_circuit, monkeypatch
-    ):
+    def test_all_backends_converge_to_the_same_point(self, make_circuit):
         solutions = {
-            backend: _solve(make_circuit, backend, monkeypatch)
-            for backend in SOLVERS
+            backend: _solve(make_circuit, backend)
+            for backend in BACKENDS
         }
         reference = solutions["reference"]
         n_nodes = make_circuit().node_count - 1

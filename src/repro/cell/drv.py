@@ -33,11 +33,21 @@ DRV_SEARCH_HI = 1.2
 
 _BISECTION_STEPS = 16
 
-#: Cells :func:`rank_buckets` places per ``searchsorted`` call.  The call's
-#: slots and the bounds gathered at them are int64/float64 temporaries;
-#: taken a chunk at a time they stay cache-sized instead of adding 8 MB
-#: each per million cells to a macro bank's peak memory.
-_RANK_CHUNK = 1 << 16
+#: Cells :func:`rank_buckets` reads per step of each pass over the scores.
+#: A step's slots, masks and gathered bounds are temporaries; taken a chunk
+#: at a time they stay cache-sized instead of adding up to 8 MB each per
+#: million cells to a macro bank's peak memory.
+_RANK_CHUNK = 1 << 15
+
+#: Most scores :func:`_select` sorts to place its windows: every
+#: ``ceil(n / _RANK_SAMPLE)``-th score.  A bank of at most this many cells
+#: has every score in its sample, so it is sorted whole instead.
+_RANK_SAMPLE = 1 << 16
+
+#: Half-width of each window of :func:`_select`, in standard deviations of
+#: a sample quantile's position (its largest, at the median).  A rank that
+#: falls outside its window costs one more pass, never a wrong result.
+_SAMPLE_MARGIN = 4.0
 
 
 def drv_lanes(rows: Sequence[Row], which, cell: CellDesign = DEFAULT_CELL) -> np.ndarray:
@@ -222,6 +232,108 @@ def skew_scores(sigmas: np.ndarray) -> np.ndarray:
     return -s[0] - s[1] + s[2] + s[3] - s[4] + s[5]
 
 
+class _Ranked:
+    """``np.sort(scores)`` at the ranks :func:`_select` kept, without the rest.
+
+    ``window`` holds, sorted, every score in one of the windows
+    ``[edges[2k], edges[2k + 1])``; ``first[k]`` is the rank of window
+    ``k``'s lowest score and ``skip[k]`` the number of scores below it
+    that lie in no window.
+    """
+
+    def __init__(self, window: np.ndarray, edges: np.ndarray,
+                 first: np.ndarray, skip: np.ndarray) -> None:
+        self.window, self.edges, self.first, self.skip = window, edges, first, skip
+
+    def __getitem__(self, ranks) -> np.ndarray:
+        """Scores at ``ranks``, each inside a window."""
+        if self.skip.any():
+            ranks = ranks - self.skip[np.searchsorted(self.first, ranks, side="right") - 1]
+        return self.window[ranks]
+
+    def below(self, values: np.ndarray) -> np.ndarray:
+        """Number of scores below each of ``values``, each inside a window."""
+        less = np.searchsorted(self.window, values)
+        if self.skip.any():
+            less += self.skip[np.searchsorted(self.edges[0::2], values, side="right") - 1]
+        return less
+
+
+def _windows(sample: np.ndarray, ranks: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """Edges ``[low_0, high_0, low_1, ...]`` of score windows around ``ranks``.
+
+    ``sample`` is every ``s``-th of ``n`` scores, sorted.  The window of a
+    rank spans :data:`_SAMPLE_MARGIN` standard deviations of the sample
+    position its score takes, and one more sample score on each side;
+    windows that meet merge.  ``None`` when they would span a third of the
+    sample or more: the copies would then hold nearly as much as a sorted
+    copy of every score, and sorting them would cost more than that sort.
+    """
+    m = len(sample)
+    if 2 * len(ranks) >= m:  # windows 3+ positions wide would meet
+        return None
+    # The count of sample scores below the score at rank r is
+    # hypergeometric: mean ~ (r + 1/2) m / n, variance at most m/4 (1 - m/n).
+    half = _SAMPLE_MARGIN * np.sqrt(m / 4 * (1 - m / n))
+    centre = (ranks + 0.5) * (m / n) - 0.5
+    lo = np.floor(centre - half).astype(np.intp) - 1
+    hi = np.ceil(centre + half).astype(np.intp) + 1
+    low = np.where(lo >= 0, sample[lo.clip(0, m - 1)], -np.inf)
+    high = np.nextafter(np.where(hi < m, sample[hi.clip(0, m - 1)], np.inf), np.inf)
+    # Both ends rise with the rank: a window opens where the last one closed.
+    opens = np.concatenate(([True], low[1:] > high[:-1]))
+    closes = np.concatenate((opens[1:], [True]))
+    if 3 * (hi[closes].clip(max=m - 1) - lo[opens].clip(min=0) + 1).sum() >= m:
+        return None
+    edges = np.empty(2 * int(opens.sum()))
+    edges[0::2], edges[1::2] = low[opens], high[closes]
+    return edges
+
+
+def _select(scores: np.ndarray, ranks: np.ndarray) -> _Ranked:
+    """The sorted scores at ``ranks`` and their neighbour ranks, selected.
+
+    ``ranks`` are ascending.  Over :data:`_RANK_SAMPLE` cells, every
+    ``ceil(n / _RANK_SAMPLE)``-th score is sorted to place :func:`_windows`
+    around the ranks.  One pass over the scores sorts :data:`_RANK_CHUNK`
+    of them at a time, counts the cells below each window edge and copies
+    the cells inside a window; only the copies are sorted together.  Up to
+    :data:`_RANK_SAMPLE` cells, when the windows would hold a third of the
+    sample or more, or when a rank or a neighbour rank falls outside every window,
+    the one window is every score: ``np.sort(scores)``.
+    """
+    n = len(scores)
+    edges = None
+    if n > _RANK_SAMPLE:  # a smaller sample is every score
+        edges = _windows(np.sort(scores[::-(-n // _RANK_SAMPLE)]), ranks, n)
+    if edges is not None:
+        counts = np.zeros(len(edges) + 1, dtype=np.intp)
+        inside = np.arange(len(counts)) % 2 == 1
+        copies = []
+        for lo in range(0, n, _RANK_CHUNK):
+            part = np.sort(scores[lo:lo + _RANK_CHUNK])
+            step = np.diff(np.searchsorted(part, edges), prepend=0, append=len(part))
+            counts += step
+            copies.append(part[np.repeat(inside, step)])
+        first, size = (np.cumsum(counts) - counts)[inside], counts[inside]
+        probes = (ranks + np.arange(-1, 2)[:, None]).clip(0, n - 1)
+        k = np.searchsorted(first, probes, side="right") - 1
+        if ((k >= 0) & (probes < first[k] + size[k])).all():
+            window = np.concatenate(copies)
+            window.sort()
+            return _Ranked(window, edges, first, np.cumsum(counts[~inside])[:-1])
+        obs.count("drv.rank.refills")
+    zero = np.zeros(1, dtype=np.intp)
+    return _Ranked(np.sort(scores), np.array([-np.inf, np.inf]), zero, zero)
+
+
+def bucket_sizes(n: int, buckets: int) -> np.ndarray:
+    """Cells in each of the ``buckets`` runs of :func:`rank_buckets` over
+    ``n`` cells (``buckets <= n``): ``np.array_split``'s run sizes."""
+    size, extra = divmod(n, buckets)
+    return size + (np.arange(buckets) < extra)
+
+
 def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarray]:
     """Bucket code of every cell and the index of each bucket's representative.
 
@@ -230,66 +342,76 @@ def rank_buckets(scores: np.ndarray, buckets: int) -> Tuple[np.ndarray, np.ndarr
     ``scores`` (ascending, ties in index order), with the run sizes of
     ``np.array_split``; its representative is the cell at rank ``start_b +
     size_b // 2``.  That is exactly what splitting a stable argsort gives,
-    found from one value sort (``np.sort``, no indices).
+    found by selection: :func:`_select` reads the scores at the
+    representative and run-start ranks and at their neighbour ranks.  It
+    sorts a full copy of the scores for banks of at most ``_RANK_SAMPLE``
+    cells and when its windows would hold a third of them (from ~10
+    buckets per million cells up).
 
-    Its scores at the representative and run-start ranks interleave into
-    one ascending bound list ``rep_0, start_1, rep_1, ..., rep_{B-1}``; one
-    ``searchsorted(bounds, scores, side="right")``, taken ``_RANK_CHUNK``
-    cells at a time, gives every cell its slot.  A cell's code is half its
-    slot (the number of start scores at or below it), and a cell whose
-    score equals the bound before an odd slot ``2b + 1`` holds bucket
-    ``b``'s representative score.  Index order matters only inside a tie
-    group that a run start splits or that holds a representative, seen as
-    a neighbour rank with the same score.  Only such groups are ranked
-    again: ``#{s < x}`` is read off the sorted scores, one ``searchsorted``
-    against the group scores finds the members, and a member's stable rank
-    is that count plus its place in index order (``-0.0 == 0.0``, as in
-    the sort).  The cost is one sort, one ``searchsorted`` and, with split
-    ties, one more, whatever ``B`` is.
+    Those at the representative and run-start ranks interleave into one
+    ascending bound list ``rep_0, start_1, rep_1, ..., rep_{B-1}``; a pass
+    of ``searchsorted(bounds, scores, side="right")``, taken
+    ``_RANK_CHUNK`` cells at a time, gives every cell its slot.  A cell's
+    code is half its slot (the number of start scores at or below it), and
+    a cell whose score equals the bound before an odd slot ``2b + 1``
+    holds bucket ``b``'s representative score.  Index order matters only
+    inside a tie group that a run start splits or that holds a
+    representative, seen as a neighbour rank with the same score.  Only
+    such groups are ranked again: :func:`_select` also counts ``#{s < x}``,
+    one more chunked pass finds the members, and a member's stable rank is
+    that count plus its place in index order (``-0.0 == 0.0``, as in a
+    sort).  Every pass takes ``_RANK_CHUNK`` cells at a time.
 
     Codes come in the smallest unsigned dtype holding ``B - 1``.  Raises
     ``ValueError`` for ``buckets < 1`` or a non-finite score.
     """
     if int(buckets) < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
-    if not np.isfinite(scores).all():
-        raise ValueError("DRV skew scores must be finite (non-finite sigma)")
     n = len(scores)
+    for lo in range(0, n, _RANK_CHUNK):
+        if not np.isfinite(scores[lo:lo + _RANK_CHUNK]).all():
+            raise ValueError("DRV skew scores must be finite (non-finite sigma)")
     if n == 0:
         return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.intp)
     buckets = min(int(buckets), n)
-    size, extra = divmod(n, buckets)
-    run = np.arange(buckets)
-    starts = run * size + np.minimum(run, extra)
+    sizes = bucket_sizes(n, buckets)
+    starts = np.cumsum(sizes) - sizes
+    reps = starts + sizes // 2
     cuts = starts[1:]
-    reps = starts + (size + (run < extra)) // 2
-    ranked = np.sort(scores)
     interleaved = np.empty(2 * buckets - 1, dtype=np.intp)
     interleaved[0::2], interleaved[1::2] = reps, cuts
+    ranked = _select(scores, interleaved)
     bounds = ranked[interleaved]
     split = ranked[cuts - 1] == ranked[cuts]
-    loose = ((reps > 0) & (ranked[reps - 1] == ranked[reps])) | (
+    loose = ((reps > 0) & (ranked[np.maximum(reps - 1, 0)] == ranked[reps])) | (
         (reps < n - 1) & (ranked[np.minimum(reps + 1, n - 1)] == ranked[reps]))
     values = np.unique(
         np.concatenate([ranked[cuts[split]], ranked[reps[loose]]]) + 0.0)
-    less = np.searchsorted(ranked, values)
+    less = ranked.below(values)
     held = np.searchsorted(values, ranked[reps[loose]] + 0.0)
-    del ranked  # n floats: not held while the codes are written
+    del ranked  # its window of sorted scores: not held while the codes are written
     codes = np.empty(n, dtype=np.min_scalar_type(buckets - 1))
     rep_cells = np.empty(buckets, dtype=np.intp)
+    # Slot 0 reads the NaN in front, which no score equals.
+    before = np.concatenate(([np.nan], bounds))
     for lo in range(0, n, _RANK_CHUNK):
         part = scores[lo:lo + _RANK_CHUNK]
         slot = np.searchsorted(bounds, part, side="right")
         codes[lo:lo + _RANK_CHUNK] = slot >> 1
-        # Slot 0 reads bounds[-1], which no score below bounds[0] can equal.
-        hits = np.flatnonzero(part == bounds[slot - 1])
-        at = slot[hits] - 1
-        rep_cells[at[at % 2 == 0] >> 1] = hits[at % 2 == 0] + lo
+        hits = np.flatnonzero(part == before[slot])
+        odd = slot[hits] % 2 == 1
+        rep_cells[slot[hits[odd]] >> 1] = hits[odd] + lo
     if not len(values):
         return codes, rep_cells
-    slot = np.searchsorted(values, scores, side="right")
-    members = np.flatnonzero((slot > 0) & (scores == values[slot - 1]))
-    group = slot[members] - 1
+    before = np.concatenate(([np.nan], values))
+    members, group = [], []
+    for lo in range(0, n, _RANK_CHUNK):
+        part = scores[lo:lo + _RANK_CHUNK]
+        slot = np.searchsorted(values, part, side="right")
+        hits = np.flatnonzero(part == before[slot])
+        members.append(hits + lo)
+        group.append(slot[hits] - 1)
+    members, group = np.concatenate(members), np.concatenate(group)
     stable = np.argsort(group, kind="stable")
     members, group = members[stable], group[stable]
     first = np.searchsorted(group, np.arange(len(values)))

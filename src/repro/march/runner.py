@@ -45,6 +45,10 @@ class MarchFailure:
         )
 
 
+#: Cells of the mismatch stack :func:`_element_failures` hands to one
+#: ``np.nonzero`` call, whose three intp index arrays stay chunk-sized.
+_FAILURE_CHUNK = 1 << 16
+
 #: Column dtypes of a :class:`FailureTable`, in :class:`MarchFailure` field
 #: order: element, op, addr, bit, expected, observed.
 _COLUMN_DTYPES = (np.int32, np.int32, np.intp, np.int32, np.uint8, np.uint8)
@@ -78,8 +82,11 @@ class FailureTable(Sequence[MarchFailure]):
 
     @classmethod
     def concat(cls, tables: Sequence["FailureTable"]) -> "FailureTable":
+        """The rows of ``tables`` in order; a lone table comes back as it is."""
         if not tables:
             return cls()
+        if len(tables) == 1:
+            return tables[0]
         return cls([np.concatenate(cols) for cols in zip(*(t._columns for t in tables))])
 
     def __len__(self) -> int:
@@ -113,13 +120,21 @@ class FailureTable(Sequence[MarchFailure]):
 
         Deduplicates packed ``addr << 32 | bit`` keys with a sort and an
         adjacent-difference mask, which keeps (addr, bit) lexicographic
-        order and is far cheaper than a Python set at 10^5+ rows.
+        order and is far cheaper than a Python set at 10^5+ rows.  The keys
+        are packed and sorted in one array, and its deduplicated copy
+        becomes the bit column in place.
         """
         _element, _op, addr, bit, _exp, _obs = self._columns
-        keys = np.sort((addr.astype(np.int64) << 32) | bit.astype(np.int64))
+        keys = addr.astype(np.int64)
+        keys <<= 32
+        keys |= bit
+        keys.sort()
         if len(keys):
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        return CellTable(keys >> 32, keys & 0xFFFFFFFF)
+            distinct = np.empty(len(keys), dtype=bool)
+            distinct[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
+        return CellTable(keys >> 32, np.bitwise_and(keys, 0xFFFFFFFF, out=keys))
 
 
 class CellTable(Sequence[Tuple[int, int]]):
@@ -373,15 +388,34 @@ def _element_failures(
     ascending.  Stacking the mismatch planes as ``(address, op, bit)`` -
     the address axis reversed for a descending element - makes that the
     row-major order ``np.nonzero`` already emits, so no sort is needed.
+    The rows are counted first; the stack and ``np.nonzero`` then run a
+    few words at a time (``_FAILURE_CHUNK`` cells) into address and bit
+    columns allocated once at their final length and dtype, beside a small
+    read-position column.  The element column is broadcast.
     """
-    stack = np.stack([miss for _op, _value, miss in mismatches], axis=1)
+    planes = [miss[::-1] if descending else miss for _op, _value, miss in mismatches]
+    total = min(limit, sum(int(np.count_nonzero(plane)) for plane in planes))
+    n_words, word_bits = planes[0].shape
+    addr = np.empty(total, dtype=np.intp)
+    bit = np.empty(total, dtype=np.int32)
+    pos = np.empty(total, np.min_scalar_type(len(planes) - 1))
+    words = max(1, _FAILURE_CHUNK // (len(planes) * word_bits))
+    filled = 0
+    for lo in range(0, n_words, words):
+        if filled == total:
+            break
+        word, read, column = np.nonzero(
+            np.stack([plane[lo:lo + words] for plane in planes], axis=1))
+        take = min(len(word), total - filled)
+        addr[filled:filled + take] = word[:take] + lo
+        pos[filled:filled + take] = read[:take]
+        bit[filled:filled + take] = column[:take]
+        filled += take
     if descending:
-        stack = stack[::-1]
-    addr, pos, bit = (axis[:limit] for axis in np.nonzero(stack))
-    if descending:
-        addr = stack.shape[0] - 1 - addr
-    op_index = np.array([op for op, _value, _miss in mismatches])[pos]
+        np.subtract(n_words - 1, addr, out=addr)
+    ops = np.array([op for op, _value, _miss in mismatches], dtype=np.int32)
     values = np.array([value for _op, value, _miss in mismatches], dtype=bool)
-    expected = np.where(values[pos], ones_plane[bit], zeros_plane[bit])
-    element = np.full(len(addr), element_index)
+    expect = np.where(values[:, None], ones_plane, zeros_plane)
+    op_index, expected = ops[pos], expect[pos, bit]
+    element = np.broadcast_to(np.int32(element_index), (total,))
     return FailureTable((element, op_index, addr, bit, expected, expected ^ 1))

@@ -47,8 +47,8 @@ Escape taxonomy (per bank, at the test conditions)
 
 Every count comes from the engine's per-bucket flip tables
 (:meth:`~repro.sram.retention_engine.ArrayRetentionEngine.bucket_flips`),
-the bucket populations and the failing-cell columns: no census plane is
-built.
+the bucket populations (:func:`~repro.cell.drv.bucket_sizes`) and the
+failing-cell columns: no census plane is built.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from ..cell.design import DEFAULT_CELL, CellDesign
-from ..cell.drv import drv_ds_pair_map, skew_scores
+from ..cell.drv import bucket_sizes, drv_ds_pair_map, skew_scores
 from .memory import LowPowerSRAM, SRAMConfig
 from .retention_engine import ArrayRetentionEngine
 
@@ -321,9 +321,10 @@ def bank_escape_summary(
     )
 
     # A cell flips in some stored state iff its bucket's column of the
-    # (stored bit, bucket) flip table holds a True.
+    # (stored bit, bucket) flip table holds a True.  The buckets are rank
+    # runs, so their populations need no count over the code plane.
     codes = engine.codes
-    counts = np.bincount(codes.ravel(), minlength=engine.drv_table.shape[1])
+    counts = bucket_sizes(codes.size, engine.drv_table.shape[1])
     test_any = engine.bucket_flips(vddcc, ds_time).any(axis=0)
     mission_any = engine.bucket_flips(vddcc, mission_time).any(axis=0)
     cells = result.failing_cells()

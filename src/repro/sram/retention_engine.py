@@ -192,13 +192,18 @@ class ArrayRetentionEngine(RetentionEngine):
         """``table[stored != 0, code]`` for every cell.
 
         The index is one key plane ``stored * B + code`` in the smallest
-        unsigned dtype holding ``2B - 1``; fancy indexing casts it in
-        buffered chunks, never as a whole int64 plane.
+        unsigned dtype holding ``2B - 1``, built in place; fancy indexing
+        casts it in buffered chunks, never as a whole int64 plane.
         """
         buckets = table.shape[1]
-        dtype = np.min_scalar_type(max(2 * buckets - 1, 0))
-        stored = np.multiply(np.asarray(stored_bits) != 0, buckets, dtype=dtype)
-        return table.ravel()[np.add(stored, self.codes, dtype=dtype)]
+        key = np.empty(
+            np.broadcast_shapes(np.shape(stored_bits), self.codes.shape),
+            dtype=np.min_scalar_type(max(2 * buckets - 1, 0)),
+        )
+        np.not_equal(stored_bits, 0, out=key)
+        key *= buckets
+        key += self.codes
+        return table.ravel()[key]
 
     def _table_times(self, vddcc: float) -> np.ndarray:
         """Flip time (s) of every (stored bit, bucket) entry of the table.

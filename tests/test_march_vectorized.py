@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.march.runner as runner_module
 from repro.march import (
     CellTable,
     march_c_minus,
@@ -28,6 +29,7 @@ from repro.march import (
     run_march_vectorized,
 )
 from repro.march.dsl import AddressOrder, MarchTest, element, read, write
+from repro.march.runner import FailureTable
 from repro.sram import (
     ArrayRetentionEngine,
     CouplingFaultIdempotent,
@@ -388,3 +390,114 @@ class TestFailureTable:
         )
         assert len(vectorized.failures) == min(max_failures, 9)
         assert vectorized.failures[0].addr == 12  # descending traversal
+
+
+# --------------------------------------------------------------------------
+# Failure extraction a few words at a time (``runner._FAILURE_CHUNK``).
+# --------------------------------------------------------------------------
+
+def _stuck_words(words, value=1, config=CONFIG):
+    """Every bit of ``words`` stuck at ``value``: one mismatch per bit."""
+
+    def build():
+        m = LowPowerSRAM(config)
+        for addr in words:
+            for bit in range(config.word_bits):
+                m.inject(StuckAtFault(addr, bit, value))
+        return m
+
+    return build
+
+
+def _assert_tables_equal(test, build, **kwargs):
+    """The vectorized table equals the scalar one, row for row and in every
+    column dtype."""
+    scalar, vectorized = _assert_equivalent(test, build, **kwargs)
+    assert vectorized.failures == scalar.failures
+    for table in (scalar.failures, vectorized.failures):
+        assert [col.dtype for col in table._columns] == [
+            np.dtype(dtype) for dtype in runner_module._COLUMN_DTYPES
+        ]
+    return vectorized.failures
+
+
+class TestChunkedFailureExtraction:
+    """``_element_failures`` counts the rows, then fills its columns chunk
+    by chunk; chunks of 1 to 3 words, and one chunk for the whole plane,
+    must all give ``run_march``'s table."""
+
+    @pytest.fixture(params=[8, 16, 24, 1 << 16], ids=lambda c: f"chunk{c}")
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(runner_module, "_FAILURE_CHUNK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("order", [AddressOrder.UP, AddressOrder.DOWN])
+    def test_read_elements_in_both_orders(self, chunk, order):
+        test = MarchTest("one read", (
+            element(AddressOrder.ANY, write(0)),
+            element(order, read(0), write(1)),
+            element(order, read(1)),
+        ))
+
+        def build():
+            m = LowPowerSRAM(CONFIG)
+            for addr, bit, value in [(0, 3, 1), (2, 0, 0), (2, 7, 1), (5, 1, 0),
+                                     (6, 4, 1), (13, 2, 0), (15, 6, 1)]:
+                m.inject(StuckAtFault(addr, bit, value))
+            return m
+
+        table = _assert_tables_equal(test, build)
+        assert len(table) == 7
+        addrs = [row.addr for row in table if row.element_index == 1]
+        assert addrs == sorted(addrs, reverse=order is AddressOrder.DOWN)
+
+    @pytest.mark.parametrize("max_failures", [1, 12, 15, 16, 17, 32, 40, 48, 100])
+    def test_max_failures_mid_chunk_and_at_chunk_edges(self, monkeypatch, max_failures):
+        """Two-word chunks of 16 rows each: caps land mid-chunk (12, 15,
+        17, 40), on a chunk edge (16, 32), at the element's last row (48)
+        and beyond it."""
+        monkeypatch.setattr(runner_module, "_FAILURE_CHUNK", 2 * CONFIG.word_bits)
+        test = MarchTest("w0 r0", (
+            element(AddressOrder.ANY, write(0)),
+            element(AddressOrder.UP, read(0)),
+        ))
+        table = _assert_tables_equal(
+            test, _stuck_words(range(6)), max_failures=max_failures
+        )
+        assert len(table) == min(max_failures, 48)
+
+    @pytest.mark.parametrize("order", [AddressOrder.UP, AddressOrder.DOWN])
+    @pytest.mark.parametrize("max_failures", [5, 9, 10_000])
+    def test_two_mismatching_reads_stack(self, chunk, order, max_failures):
+        """Two reads of one element both miss: the planes are stacked as
+        ``(address, op, bit)``, and each row's op and expected value come
+        from its read."""
+        test = MarchTest("r0 r0 w1 r1", (
+            element(AddressOrder.ANY, write(0)),
+            element(order, read(0), read(0), write(1), read(1)),
+        ))
+
+        def build():
+            m = LowPowerSRAM(CONFIG)
+            for addr, bit, value in [(1, 2, 1), (4, 0, 1), (4, 5, 0), (11, 7, 0)]:
+                m.inject(StuckAtFault(addr, bit, value))
+            return m
+
+        table = _assert_tables_equal(test, build, max_failures=max_failures)
+        assert len(table) == min(max_failures, 6)
+        if max_failures > 6:
+            assert {row.op_index for row in table} == {0, 1, 3}
+            assert {(row.expected, row.observed) for row in table} == {(0, 1), (1, 0)}
+
+    def test_no_failures(self, chunk):
+        table = _assert_tables_equal(march_m_lz(), lambda: LowPowerSRAM(CONFIG))
+        assert len(table) == 0
+
+    def test_concat_of_one_table_is_that_table(self):
+        table = run_march_vectorized(
+            march_m_lz(), _stuck_words([3, 9])(), max_failures=1000
+        ).failures
+        assert FailureTable.concat([table]) is table
+        assert FailureTable.concat([table]) == table
+        assert FailureTable.concat([table, table]) == list(table) + list(table)
+        assert FailureTable.concat([]) == []

@@ -31,7 +31,16 @@ from hypothesis import given, settings, strategies as st
 
 import repro.cell.drv as drv_module
 import repro.sram.macro as macro_module
+from repro import obs
+from repro.analysis.macro import (
+    MACRO_CORNER,
+    MACRO_DS_TIME,
+    MACRO_MISSION_TIME,
+    MACRO_TEMP_C,
+    MACRO_VDDCC,
+)
 from repro.cell.drv import (
+    bucket_sizes,
     clear_pair_memo,
     drv_ds_pair,
     drv_ds_pair_cached,
@@ -270,6 +279,30 @@ class TestVariationStream:
             tracemalloc.stop()
         assert peak < 4096 * 64 * 6 * 8
 
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_escape_summary_working_set(self, seed):
+        """A whole ``bank_escape_summary`` of a 4096 x 64 bank (262144
+        cells, 4 buckets) at the macro test conditions peaks at 12 bytes a
+        cell or less: the 8-byte scores, the 1-byte codes and temporaries
+        a chunk long.  It used to peak at 16.1 (seed 0) and 19.1 (seed 17,
+        65536 cells detected): rank selection sorted a copy of the scores,
+        and the failure columns came from one whole-bank ``np.nonzero``.
+        The first call loads the March modules and fills the DRV and
+        leakage memos; the bound is on the second."""
+        spec = MacroSpec(4096, 64, 1, seed)
+        conditions = dict(
+            vddcc=MACRO_VDDCC, ds_time=MACRO_DS_TIME, mission_time=MACRO_MISSION_TIME,
+            corner=MACRO_CORNER, temp_c=MACRO_TEMP_C, buckets=4,
+        )
+        bank_escape_summary(spec, 0, **conditions)
+        tracemalloc.start()
+        try:
+            bank_escape_summary(spec, 0, **conditions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / spec.n_cells <= 12
+
 
 class TestCampaignFingerprint:
     def test_macro_seed_feeds_the_fingerprint(self):
@@ -459,6 +492,117 @@ class TestRankSelection:
             self, macro_1m_scores, buckets):
         """The benchmark's 1M-cell banks."""
         self._check(macro_1m_scores, buckets)
+
+    @staticmethod
+    def _refills(scores, buckets):
+        """:meth:`_check`, and how often a rank fell outside every window."""
+        with obs.recording() as recorder:
+            TestRankSelection._check(scores, buckets)
+        return recorder.counters.get("drv.rank.refills", 0)
+
+    @pytest.fixture
+    def small_sample(self, monkeypatch):
+        """An 8192-score sample: 65536 cells get windows ~4% wide, each
+        step of the sample 8 cells."""
+        monkeypatch.setattr(drv_module, "_RANK_SAMPLE", 1 << 13)
+
+    @staticmethod
+    def _edges(scores, buckets):
+        """The windows ``rank_buckets`` places for its bound ranks."""
+        n = len(scores)
+        sizes = bucket_sizes(n, buckets)
+        starts = np.cumsum(sizes) - sizes
+        ranks = np.sort(np.concatenate([starts + sizes // 2, starts[1:]]))
+        return drv_module._windows(
+            np.sort(scores[::-(-n // drv_module._RANK_SAMPLE)]), ranks, n)
+
+    @pytest.mark.parametrize("buckets", [2, 3, 4])
+    def test_ties_straddling_window_edges(self, small_sample, buckets):
+        """Scores on a 0.1 grid: every window edge is a sampled score shared
+        by many cells, all of them inside the window, and the run starts and
+        representatives fall inside such tie groups."""
+        scores = np.round(np.random.default_rng(45).standard_normal(1 << 16), 1)
+        edges = self._edges(scores, buckets)
+        assert edges is not None
+        lows = edges[0::2][np.isfinite(edges[0::2])]
+        assert len(lows) and all(np.count_nonzero(scores == low) > 1 for low in lows)
+        assert self._refills(scores, buckets) == 0
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("value", [0.75, -0.0])
+    @pytest.mark.parametrize("buckets", [1, 3, 4, 64, 4096])
+    def test_all_equal_scores(self, small_sample, n, value, buckets):
+        """One tie group: every window holds every cell."""
+        assert self._refills(np.full(n, value), buckets) == 0
+
+    @pytest.mark.parametrize("buckets", [2, 3, 4])
+    def test_signed_zeros_across_windows(self, small_sample, buckets):
+        """A fifth of the cells are -0.0 or 0.0, in index order mixed: the
+        tie group holds run starts and representatives, and windows open
+        and close on it."""
+        rng = np.random.default_rng(46)
+        scores = rng.standard_normal(1 << 16)
+        zeros = rng.random(1 << 16) < 0.2
+        scores[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+        assert self._edges(scores, buckets) is not None
+        assert self._refills(scores, buckets) == 0
+
+    @pytest.mark.parametrize("buckets", [1, 4])
+    def test_one_cell(self, buckets):
+        codes, reps = rank_buckets(np.array([-2.5]), buckets)
+        assert codes.tolist() == [0] and reps.tolist() == [0]
+        assert codes.dtype == np.uint8 and reps.dtype == np.intp
+
+    @pytest.mark.parametrize("n", [4096, 1 << 16])
+    def test_one_bucket_per_cell_sorts_every_score(self, small_sample, n):
+        """Bound ranks at every cell: the windows would hold them all, so
+        the selection is a sort of the scores."""
+        scores = np.random.default_rng(47).standard_normal(n)
+        assert self._edges(scores, n) is None
+        assert self._refills(scores, n) == 0
+
+    @pytest.mark.parametrize("buckets", [4, 5, 1293])
+    def test_cells_not_a_multiple_of_the_chunk(self, small_sample, monkeypatch, buckets):
+        """1293 = 20 chunks of 64 and a last chunk of 13 cells, in every
+        pass."""
+        monkeypatch.setattr(drv_module, "_RANK_CHUNK", 64)
+        scores = np.round(np.random.default_rng(48).standard_normal(1293), 2)
+        self._check(scores, buckets)
+
+    @pytest.mark.parametrize("buckets", [2, 4, 16])
+    def test_window_miss_sorts_every_score(self, small_sample, monkeypatch, buckets):
+        """With no margin a window spans three sample scores, and the ranks
+        fall outside them: the selection takes one more pass, a sort of
+        every score, and the buckets stay the stable-argsort ones."""
+        monkeypatch.setattr(drv_module, "_SAMPLE_MARGIN", 0.0)
+        scores = np.random.default_rng(49).standard_normal(1 << 16)
+        assert self._edges(scores, buckets) is not None
+        assert self._refills(scores, buckets) == 1
+
+    @pytest.mark.parametrize("buckets", [1, 4, 16, 1 << 16])
+    def test_bank_within_the_sample_sorts_once(self, monkeypatch, buckets):
+        """Up to ``_RANK_SAMPLE`` cells the sample would be every score: no
+        windows are placed, the scores are sorted once."""
+        def no_windows(*_):
+            raise AssertionError("windows placed for a bank within the sample")
+
+        monkeypatch.setattr(drv_module, "_windows", no_windows)
+        scores = np.random.default_rng(51).standard_normal(1 << 16)
+        assert self._refills(scores, buckets) == 0
+
+    @pytest.mark.parametrize("high", [51.0, 52.0])
+    def test_neighbour_just_past_a_window(self, monkeypatch, high):
+        """A window over ranks 49 and 50 holds rank 50 but not its
+        neighbour 51: the selection must sort every score.  One rank
+        wider, it reads all three off the window."""
+        scores = np.random.default_rng(50).permutation(100).astype(float)
+        monkeypatch.setattr(drv_module, "_RANK_SAMPLE", 50)
+        monkeypatch.setattr(drv_module, "_windows", lambda *_: np.array([49.0, high]))
+        with obs.recording() as recorder:
+            ranked = drv_module._select(scores, np.array([50]))
+        assert recorder.counters.get("drv.rank.refills", 0) == (high == 51.0)
+        assert ranked[np.array([49, 50, 51])].tolist() == [49.0, 50.0, 51.0]
+        assert ranked.below(np.array([50.0])).tolist() == [50]
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60))
